@@ -1,9 +1,11 @@
 """Command-line front end: every construction and check as a subcommand.
 
-Output formats: json (default, a deterministic envelope with the payload
-under "result"), csv, and plain text.  Big integers always serialize as
-decimal strings.  Exit codes: 0 success / all checks pass, 1 verification
-failure, 2 usage or validation error, 3 enumeration budget exceeded.
+Output formats: json (default, an envelope with the payload under
+"result"; every field except the wall-clock "elapsed_ms" is deterministic),
+csv, and plain text.  Big integers always serialize as decimal strings.
+Exit codes: 0 success / all checks pass, 1 verification failure, including
+a division that leaves a remainder (NotDivisibleError, which means a bug),
+2 usage or validation error, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -404,9 +406,13 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, NotDivisibleError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NotDivisibleError as exc:
+        # Zero-sum vectors always divide out cleanly, so this is a bug.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
     _emit(args.format, command, echo, result, elapsed_ms)
     return EXIT_OK if ok else EXIT_VERIFICATION

@@ -99,20 +99,29 @@ class DensePolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return DensePolynomial()
+        # Only nonzero pairs are multiplied, so the cost scales with the
+        # nonzero counts; gaps get the zero of the product's ring.
+        b_support = [(j, cb) for j, cb in enumerate(b) if cb]
         out = [None] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
+            if not ca:
+                continue
+            for j, cb in b_support:
                 prod = ca * cb
                 k = i + j
                 out[k] = prod if out[k] is None else out[k] + prod
-        return DensePolynomial(out)
+        zero = 0 * (a[-1] * b[-1])
+        return DensePolynomial(zero if c is None else c for c in out)
 
     def exact_div(self, divisor):
         """Exact quotient by a divisor whose lowest or highest coefficient
         is a unit (+1 or -1); raises NotDivisibleError otherwise.
 
         Valid over any of the coefficient rings: the only inverse ever taken
-        is of the +-1 pivot.  The remainder is verified by re-multiplying.
+        is of the +-1 pivot.  With the pivot at the bottom the recurrence's
+        own leftover top coefficients must vanish; otherwise the remainder
+        is verified by re-multiplying.  NotDivisibleError always carries the
+        remainder self - quotient * divisor.
         """
         if not isinstance(divisor, DensePolynomial):
             raise TypeError("divisor must be a DensePolynomial")
@@ -125,7 +134,9 @@ class DensePolynomial:
         if qlen <= 0:
             raise NotDivisibleError(self)
         if g[0] == 1 or g[0] == -1:
-            quotient = self._div_from_bottom(f, g, qlen)
+            quotient, exact = self._div_from_bottom(f, g, qlen)
+            if exact:
+                return quotient
         elif g[-1] == 1 or g[-1] == -1:
             quotient = self._div_from_top(f, g, qlen)
         else:
@@ -139,6 +150,10 @@ class DensePolynomial:
 
     @staticmethod
     def _div_from_bottom(f, g, qlen):
+        """Quotient from the low-order recurrence, and whether the division
+        is exact.  f - q*g vanishes below qlen by construction; at j >= qlen
+        its coefficient is f[j] - sum g[i]*q[j-i], so the division is exact
+        exactly when all of those leftovers vanish."""
         sign = g[0]
         support = [(i, gi) for i, gi in enumerate(g) if i > 0 and gi]
         q = []
@@ -149,7 +164,16 @@ class DensePolynomial:
                     break
                 acc = acc - gi * q[j - i]
             q.append(acc if sign == 1 else -acc)
-        return DensePolynomial(q)
+        for j in range(qlen, len(f)):
+            acc = f[j]
+            for i, gi in support:
+                if i > j:
+                    break
+                if j - i < qlen:
+                    acc = acc - gi * q[j - i]
+            if acc:
+                return DensePolynomial(q), False
+        return DensePolynomial(q), True
 
     @staticmethod
     def _div_from_top(f, g, qlen):

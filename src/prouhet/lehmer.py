@@ -21,7 +21,13 @@ from typing import Optional
 
 from .factorization import DensePolynomial, first_coefficient_mismatch, ptm_polynomial
 from .rings import CyclotomicElement, omega_pow
-from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, ZeroSumVector
+from .sequence import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    PTMParams,
+    ZeroSumVector,
+    power_exceeds,
+)
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,9 @@ class LehmerSpec:
         for w in self.mu:
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
-        if self.p ** len(self.mu) > self.budget:
+        if self.budget < 1:
+            raise ValueError(f"budget must be positive, got {self.budget!r}")
+        if power_exceeds(self.p, len(self.mu), self.budget):
             raise BudgetExceededError(
                 f"enumeration of {self.p}**{len(self.mu)} tuples exceeds "
                 f"budget {self.budget}"

@@ -19,6 +19,17 @@ class BudgetExceededError(Exception):
     """An enumeration would exceed the configured term budget."""
 
 
+def power_exceeds(base, exponent, limit):
+    """Whether base**exponent > limit for base >= 2, found by multiplying
+    up with an early exit so a huge power is never built."""
+    count = 1
+    for _ in range(exponent):
+        count *= base
+        if count > limit:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class PTMParams:
     """Base p and block exponent n; a block spans the first p**n integers."""
@@ -34,7 +45,7 @@ class PTMParams:
             raise ValueError(f"block exponent n must be an integer >= 1, got {self.n!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be positive, got {self.budget!r}")
-        if self.p**self.n > self.budget:
+        if power_exceeds(self.p, self.n, self.budget):
             raise BudgetExceededError(
                 f"block of {self.p}**{self.n} terms exceeds budget {self.budget}"
             )

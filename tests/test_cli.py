@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+import prouhet.cli
+from prouhet import DensePolynomial, NotDivisibleError
 from prouhet.cli import main
 
 SPEC_PARTITION_RESULT = {
@@ -46,6 +49,13 @@ class TestPtmCommand:
 
     def test_budget_exceeded(self, capsys):
         code = main(["ptm", "--p", "2", "--n", "30", "--budget", "1000000"])
+        assert code == 3
+        assert "budget" in capsys.readouterr().err
+
+    def test_huge_exponent_rejected_before_building_the_power(self, capsys):
+        start = time.perf_counter()
+        code = main(["ptm", "--p", "3", "--n", "30000000"])
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "budget" in capsys.readouterr().err
 
@@ -120,6 +130,17 @@ class TestFactorCommand:
         code = main(["factor", "--p", "2", "--n", "2", "--coeffs", "1,x"])
         assert code == 2
 
+    def test_inexact_division_is_a_verification_failure(self, capsys, monkeypatch):
+        def inexact(params, vector):
+            raise NotDivisibleError(DensePolynomial([1]))
+
+        monkeypatch.setattr(prouhet.cli, "cofactor_by_division", inexact)
+        code = main(["factor", "--p", "2", "--n", "2", "--coeffs", "1,-1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "not exact" in captured.err
+        assert captured.out == ""
+
 
 class TestLehmerCommand:
     def test_base_powers_match_partition(self, capsys):
@@ -148,6 +169,11 @@ class TestLehmerCommand:
     def test_rejects_nonpositive_weight(self, capsys):
         code = main(["lehmer", "--p", "2", "--mu", "1,0"])
         assert code == 2
+
+    def test_rejects_nonpositive_budget(self, capsys):
+        code = main(["lehmer", "--p", "2", "--mu", "1", "--budget", "0"])
+        assert code == 2
+        assert "budget must be positive" in capsys.readouterr().err
 
 
 class TestIdentitiesCommand:

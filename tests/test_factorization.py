@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -346,3 +347,186 @@ class TestSpecialization:
             assert specialize(
                 ptm_polynomial(params, symbolic), values
             ) == ptm_polynomial(params, concrete)
+
+
+# --- Dense oracle -----------------------------------------------------------
+#
+# DensePolynomial.__mul__ skips zero coefficients and exact_div checks the
+# recurrence's own leftovers instead of re-multiplying.  The oracle below is
+# the plain double-loop product over every pair of coefficients; the
+# property tests compare both against it over int, cyclotomic (p = 4) and
+# zero-sum-form coefficients.
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # run the same checks over a seeded loop instead
+    given = None
+
+EXAMPLES = 60
+
+
+def random_cases(test):
+    """Run test(self, rng) on EXAMPLES random generators: drawn by
+    hypothesis when it imports, else seeded 0..EXAMPLES-1."""
+    if given is not None:
+        strategy = st.randoms(use_true_random=False)
+        configured = settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
+        return configured(given(rng=strategy)(test))
+
+    def loop(*args, **kwargs):
+        for seed in range(EXAMPLES):
+            test(*args, rng=random.Random(seed), **kwargs)
+
+    signature = inspect.signature(test)
+    loop.__name__ = test.__name__
+    loop.__signature__ = signature.replace(
+        parameters=[p for p in signature.parameters.values() if p.name != "rng"]
+    )
+    return loop
+
+
+def dense_mul(f, g):
+    """Oracle: the product of every pair of coefficients, zero or not."""
+    a, b = f.coeffs, g.coeffs
+    if not a or not b:
+        return DensePolynomial()
+    out = [None] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            prod = ca * cb
+            k = i + j
+            out[k] = prod if out[k] is None else out[k] + prod
+    return DensePolynomial(out)
+
+
+def sparse_coeffs(rng, draw, zero, max_len=9):
+    """Coefficient list with interior zeros, often leading zeros (a factor
+    x^k) and sometimes trailing zeros that canonical form strips."""
+    out = [draw() if rng.random() < 0.45 else zero for _ in range(rng.randint(0, max_len))]
+    if rng.random() < 0.5:
+        out = [zero] * rng.randint(1, 4) + out
+    if rng.random() < 0.2:
+        out += [zero] * rng.randint(1, 3)
+    return out
+
+
+def int_poly(rng):
+    return DensePolynomial(sparse_coeffs(rng, lambda: rng.choice([-3, -2, -1, 1, 2, 3]), 0))
+
+
+# (1 + w) * (1 + w^2) = 1 + w + w^2 + w^3 = 0 in Z[w]/(1 + w + w^2 + w^3)
+ONE_PLUS_W = CyclotomicElement(4, (1, 1, 0))
+ONE_PLUS_W2 = CyclotomicElement(4, (1, 0, 1))
+
+
+def cyclotomic4_poly(rng):
+    def draw():
+        if rng.random() < 0.4:
+            return rng.choice([ONE_PLUS_W, ONE_PLUS_W2])
+        return CyclotomicElement(4, tuple(rng.randint(-2, 2) for _ in range(3)))
+
+    return DensePolynomial(sparse_coeffs(rng, draw, CyclotomicElement.zero(4)))
+
+
+def form3_poly(rng):
+    draw = lambda: form(3, rng.randint(-3, 3), rng.randint(-3, 3))  # noqa: E731
+    return DensePolynomial(sparse_coeffs(rng, draw, ZeroSumForm.zero(3)))
+
+
+RINGS = {"int": int_poly, "cyclotomic4": cyclotomic4_poly, "form": form3_poly}
+RING_PAIRS = [("int", "int"), ("cyclotomic4", "cyclotomic4"), ("form", "int"), ("int", "form")]
+
+
+def assert_same_poly(actual, expected):
+    """Equal coefficient for coefficient and in the same ring: tuple
+    equality alone would let an int 0 pass for a ring zero."""
+    assert actual == expected
+    assert [type(c) for c in actual.coeffs] == [type(c) for c in expected.coeffs]
+
+
+def unit_pivot_divisor(rng, at_bottom):
+    """Integer divisor of degree >= 1 whose +-1 pivot is the constant term
+    (at_bottom) or, with a zero constant term, the leading coefficient."""
+    draw = lambda: rng.choice([-2, -1, 1, 2])  # noqa: E731
+    body = sparse_coeffs(rng, draw, 0, max_len=5)
+    pivot = rng.choice([1, -1])
+    if at_bottom:
+        return DensePolynomial([pivot] + body + [draw()])
+    return DensePolynomial([0] + body + [pivot])
+
+
+class TestSparseMulAgainstDenseOracle:
+    @pytest.mark.parametrize("ring_a,ring_b", RING_PAIRS)
+    @random_cases
+    def test_matches_dense_oracle(self, ring_a, ring_b, rng):
+        a, b = RINGS[ring_a](rng), RINGS[ring_b](rng)
+        assert_same_poly(a * b, dense_mul(a, b))
+
+    def test_zero_divisors_cancel_top_coefficient(self):
+        a = DensePolynomial([CyclotomicElement.one(4), ONE_PLUS_W])
+        b = DensePolynomial([CyclotomicElement.one(4), ONE_PLUS_W2])
+        product = a * b
+        assert product.degree == 1
+        assert_same_poly(product, dense_mul(a, b))
+
+    def test_gaps_keep_coefficient_ring(self):
+        product = DensePolynomial([form(3, 1, 0)]) * one_minus_x_pow(3)
+        assert [type(c) for c in product.coeffs] == [ZeroSumForm] * 4
+        assert not product.coeffs[1] and not product.coeffs[2]
+
+
+class TestExactDivAgainstDenseOracle:
+    @pytest.mark.parametrize("at_bottom", [True, False], ids=["bottom", "top"])
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @random_cases
+    def test_roundtrip(self, ring, at_bottom, rng):
+        q = RINGS[ring](rng)
+        g = unit_pivot_divisor(rng, at_bottom)
+        if not q:
+            return
+        assert dense_mul(q, g).exact_div(g) == q
+
+    @pytest.mark.parametrize("at_bottom", [True, False], ids=["bottom", "top"])
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @random_cases
+    def test_nondivisible_carries_oracle_remainder(self, ring, at_bottom, rng):
+        # f = q*g + r, with r placed where the division by g does not look
+        # while building the quotient: above it from the bottom, below it
+        # from the top.  The quotient is then q, so f is not divisible for
+        # any nonzero r, and the remainder must equal f - q*g.
+        make = RINGS[ring]
+        q = make(rng)
+        g = unit_pivot_divisor(rng, at_bottom)
+        room = len(g.coeffs) - 1
+        nonzero = [c for c in make(rng).coeffs if c][:room]
+        if not q or not nonzero:
+            return
+        r = [0 * nonzero[0]] * room
+        for slot, c in zip(sorted(rng.sample(range(room), len(nonzero))), nonzero):
+            r[slot] = c
+        r = DensePolynomial(r)
+        if at_bottom:
+            r = r.shifted(len(q.coeffs))
+        qg = dense_mul(q, g)
+        f = qg + r
+        if f.degree != qg.degree:
+            return
+        with pytest.raises(NotDivisibleError) as err:
+            f.exact_div(g)
+        assert err.value.remainder == f - dense_mul(q, g)
+        assert err.value.remainder == r
+
+    def test_exact_bottom_division_does_not_multiply(self, monkeypatch):
+        params = PTMParams(3, 3)
+        a = ZeroSumVector.symbolic(3)
+        f = ptm_polynomial(params, a)
+        divisor = binomial_product(params)
+
+        def refuse(self, other):
+            raise AssertionError("exact division re-multiplied")
+
+        monkeypatch.setattr(DensePolynomial, "__mul__", refuse)
+        quotient = f.exact_div(divisor)
+        monkeypatch.undo()
+        assert quotient == cofactor_recursive(params, a)

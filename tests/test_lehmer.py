@@ -44,6 +44,15 @@ class TestLehmerSpec:
         with pytest.raises(BudgetExceededError):
             LehmerSpec(2, (1,) * 30, budget=10**6)
 
+    def test_budget_boundary(self):
+        assert LehmerSpec(2, (1,) * 3, budget=8).tuple_count == 8
+        with pytest.raises(BudgetExceededError):
+            LehmerSpec(2, (1,) * 3, budget=7)
+
+    def test_rejects_nonpositive_budget(self):
+        with pytest.raises(ValueError):
+            LehmerSpec(2, (1,), budget=0)
+
     def test_base_powers(self):
         assert LehmerSpec.base_powers(3, 2).mu == (1, 3, 9)
 

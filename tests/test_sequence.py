@@ -88,6 +88,8 @@ class TestPTMParams:
     def test_budget_boundary(self):
         params = PTMParams(10, 3, budget=1000)
         assert params.block_length == 1000
+        with pytest.raises(BudgetExceededError):
+            PTMParams(10, 3, budget=999)
 
     def test_degree_relation(self):
         params = PTMParams.from_degree(3, 2)
