@@ -21,6 +21,7 @@ from .partition import (
     EspReport,
     Partition,
     PowerSumTable,
+    class_power_sums,
     power_sum,
     power_sum_table,
     prouhet_partition,
@@ -71,6 +72,7 @@ __all__ = [
     "ZeroSumForm",
     "ZeroSumVector",
     "binomial_product",
+    "class_power_sums",
     "cofactor_by_division",
     "cofactor_recursive",
     "cofactor_support_indices",

@@ -20,7 +20,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from .rings import ZeroSumForm
-from .sequence import PTMParams, ZeroSumVector, ptm_term
+from .sequence import PTMParams, ZeroSumVector, ptm_block, ptm_term
 
 
 class NotDivisibleError(ArithmeticError):
@@ -248,7 +248,7 @@ def ptm_polynomial(params, vector):
     p = params.p
     if len(vector) != p:
         raise ValueError(f"vector length {len(vector)} does not match base {p}")
-    return DensePolynomial(vector[ptm_term(i, p)] for i in range(params.block_length))
+    return DensePolynomial(vector[t] for t in ptm_block(params))
 
 
 def ptm_polynomial_recursive(params, vector):

@@ -15,11 +15,13 @@ exactly one product factor per weight (M+1 factors, strides p**0..p**M).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .factorization import DensePolynomial, first_coefficient_mismatch, ptm_polynomial
+from .partition import class_power_sums
 from .rings import CyclotomicElement, omega_pow
 from .sequence import (
     DEFAULT_BUDGET,
@@ -28,6 +30,18 @@ from .sequence import (
     ZeroSumVector,
     power_exceeds,
 )
+
+
+def _check_tuple_count(p, count, budget):
+    """Reject a bad base or budget, then p**count tuples over the budget."""
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"base p must be an integer >= 2, got {p!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget!r}")
+    if power_exceeds(p, count, budget):
+        raise BudgetExceededError(
+            f"enumeration of {p}**{count} tuples exceeds budget {budget}"
+        )
 
 
 @dataclass(frozen=True)
@@ -39,27 +53,23 @@ class LehmerSpec:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 2:
-            raise ValueError(f"base p must be an integer >= 2, got {self.p!r}")
         object.__setattr__(self, "mu", tuple(self.mu))
         if not self.mu:
             raise ValueError("at least one weight is required")
         for w in self.mu:
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be positive, got {self.budget!r}")
-        if power_exceeds(self.p, len(self.mu), self.budget):
-            raise BudgetExceededError(
-                f"enumeration of {self.p}**{len(self.mu)} tuples exceeds "
-                f"budget {self.budget}"
-            )
+        _check_tuple_count(self.p, len(self.mu), self.budget)
 
     @classmethod
     def base_powers(cls, p, degree, budget=DEFAULT_BUDGET):
-        """Weights (1, p, ..., p**degree), the digit-sum partition case."""
+        """Weights (1, p, ..., p**degree), the digit-sum partition case.
+
+        The budget is checked before any weight is built.
+        """
         if not isinstance(degree, int) or degree < 0:
             raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
+        _check_tuple_count(p, degree + 1, budget)
         return cls(p, tuple(p**m for m in range(degree + 1)), budget)
 
     @property
@@ -100,15 +110,23 @@ def multiset_power_sum(pairs, exponent):
 
 
 def lehmer_expand(spec):
-    """Enumerate all p**(M+1) digit tuples and bucket their weighted values
-    by digit-sum class, keeping multiplicities."""
-    counters = [Counter() for _ in range(spec.p)]
-    for digits in itertools.product(range(spec.p), repeat=len(spec.mu)):
-        value = sum(d * w for d, w in zip(digits, spec.mu))
-        counters[sum(digits) % spec.p][value] += 1
-    return ClassifiedMultiset(
-        spec.p, tuple(tuple(sorted(c.items())) for c in counters)
-    )
+    """Bucket the weighted values of all p**(M+1) digit tuples by digit-sum
+    class, keeping multiplicities.
+
+    Built weight by weight: after weight w, class (k + d) mod p holds the
+    values of the previous class k shifted by d*w, d = 0..p-1.
+    """
+    p = spec.p
+    classes = [[0]] + [[] for _ in range(p - 1)]
+    for w in spec.mu:
+        grown = [list(values) for values in classes]
+        for d in range(1, p):
+            shift = d * w
+            for k, values in enumerate(classes):
+                grown[(k + d) % p] += [v + shift for v in values]
+        classes = grown
+    counters = [Counter(values) for values in classes]
+    return ClassifiedMultiset(p, tuple(tuple(sorted(c.items())) for c in counters))
 
 
 @dataclass(frozen=True)
@@ -120,36 +138,38 @@ class LehmerReport:
     power_sums: tuple
 
 
+def _class_moments(pairs, degree):
+    """multiset_power_sum(pairs, m) for m = 0..degree, one running power per value."""
+    values = [value for value, _ in pairs]
+    powers = [mult for _, mult in pairs]  # mult * value**0
+    sums = [sum(powers)]
+    for _ in range(degree):
+        powers = list(map(operator.mul, powers, values))
+        sums.append(sum(powers))
+    return sums
+
+
 def lehmer_verify(spec):
     """Check equal multiset power sums across all p classes for m = 0..M."""
     multiset = lehmer_expand(spec)
-    rows = []
-    equal_up_to = spec.degree
-    first_violation = None
-    for m in range(spec.degree + 1):
-        sums = [multiset_power_sum(cls, m) for cls in multiset.classes]
-        rows.append(tuple(sums))
-        if first_violation is None:
-            for k in range(1, len(sums)):
-                if sums[k] != sums[0]:
-                    equal_up_to = m - 1
-                    first_violation = (m, 0, k)
-                    break
-    return LehmerReport(equal_up_to, first_violation, tuple(rows))
+    rows = tuple(zip(*(_class_moments(cls, spec.degree) for cls in multiset.classes)))
+    for m, sums in enumerate(rows):
+        for k in range(1, len(sums)):
+            if sums[k] != sums[0]:
+                return LehmerReport(m - 1, (m, 0, k), rows)
+    return LehmerReport(spec.degree, None, rows)
 
 
 def lehmer_weighted_sum(spec, exponent):
     """The exact cyclotomic value sum_tuples w^{digit sum} * value**m.
 
-    Computed as a finite sum over all tuples (grouped by class, then scaled
-    by the class's root-of-unity weight).  Zero for every m <= M.
+    The class power sums come from class_power_sums, without listing any
+    tuple, and are scaled by each class's root-of-unity weight.  Zero for
+    every m <= M.
     """
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent!r}")
-    sums = [0] * spec.p
-    for digits in itertools.product(range(spec.p), repeat=len(spec.mu)):
-        value = sum(d * w for d, w in zip(digits, spec.mu))
-        sums[sum(digits) % spec.p] += value**exponent
+    sums = next(itertools.islice(class_power_sums(spec.p, spec.mu), exponent, None))
     total = CyclotomicElement.zero(spec.p)
     for k, s in enumerate(sums):
         total = total + s * omega_pow(spec.p, k)

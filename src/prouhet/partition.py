@@ -7,10 +7,12 @@ up to n - 1 (all sums are exact big integers, with 0**0 = 1).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .sequence import PTMParams, ptm_term
+# ptm_term stays importable from here: perfbench/spans.py wraps it by this name.
+from .sequence import PTMParams, ptm_block, ptm_term  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -24,20 +26,28 @@ class Partition:
         p = self.params.p
         if len(self.classes) != p:
             raise ValueError(f"expected {p} classes, got {len(self.classes)}")
-        members = sorted(n for cls in self.classes for n in cls)
-        if members != list(range(self.params.block_length)):
-            raise ValueError("classes must partition the full block exactly")
+        labels = ptm_block(self.params)
+        size = len(labels)
+        seen = bytearray(size)
         for k, cls in enumerate(self.classes):
             for n in cls:
-                if ptm_term(n, p) != k:
+                if not 0 <= n < size:
+                    raise ValueError(f"{n} lies outside the block 0..{size - 1}")
+                if seen[n]:
+                    raise ValueError(f"{n} appears more than once")
+                if labels[n] != k:
                     raise ValueError(f"{n} does not belong in class {k}")
+                seen[n] = 1
+        if sum(map(len, self.classes)) != size:
+            raise ValueError("classes must partition the full block exactly")
 
 
 def prouhet_partition(params):
-    """Assign each n in {0, ..., p**n - 1} to class ptm_term(n, p)."""
+    """Assign each n in {0, ..., p**n - 1} to class t(n), read off ptm_block."""
     buckets = [[] for _ in range(params.p)]
-    for n in range(params.block_length):
-        buckets[ptm_term(n, params.p)].append(n)
+    appends = [bucket.append for bucket in buckets]
+    for n, label in enumerate(ptm_block(params)):
+        appends[label](n)
     return Partition(params, tuple(tuple(b) for b in buckets))
 
 
@@ -46,6 +56,47 @@ def power_sum(values, exponent):
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent!r}")
     return sum(n**exponent for n in values)
+
+
+def class_power_sums(p, weights):
+    """Rows (S_0(r), ..., S_{p-1}(r)) for r = 0, 1, 2, ..., without end.
+
+    S_k(r) is the r-th power sum (0**0 = 1) of the multiset of values
+    a_0*w_0 + a_1*w_1 + ... over all digit tuples (a_j in 0..p-1) whose
+    digit sum is k mod p.  No value is listed: each weight w adds a level,
+    whose class (k + d) mod p holds the previous class k shifted by d*w,
+    d = 0..p-1, so by the binomial theorem
+    S'_{(k+d) mod p}(r) += sum_i C(r, i) * (d*w)**(r-i) * S_k(i).
+    Rows are built on demand; row r costs O(len(weights) * p**2 * r)
+    big-integer operations.  With weights (1, p, ..., p**(n-1)) the classes
+    are the digit-sum partition of {0, ..., p**n - 1}.
+    """
+    weights = tuple(weights)
+    # history[j] holds rows 0..r of the classes built from weights[:j].
+    history = [[] for _ in weights]
+    binomials = [1]  # row r of Pascal's triangle
+    for r in itertools.count():
+        row = [1 if r == 0 else 0] + [0] * (p - 1)  # no weights: the value 0
+        for w, rows in zip(weights, history):
+            rows.append(row)
+            grown = list(row)
+            for d in range(1, p):
+                shift = d * w
+                power = 1
+                for i in range(r, -1, -1):
+                    coeff = binomials[i] * power
+                    for k, s in enumerate(rows[i]):
+                        if s:
+                            grown[(k + d) % p] += coeff * s
+                    power *= shift
+            row = grown
+        yield tuple(row)
+        binomials = [a + b for a, b in zip([0] + binomials, binomials + [0])]
+
+
+def _block_rows(params):
+    """class_power_sums rows of the digit-sum partition of params' block."""
+    return class_power_sums(params.p, [params.p**j for j in range(params.n)])
 
 
 @dataclass(frozen=True)
@@ -57,9 +108,7 @@ class PowerSumTable:
 
 
 def power_sum_table(part):
-    rows = tuple(
-        tuple(power_sum(cls, m) for cls in part.classes) for m in range(part.params.n)
-    )
+    rows = tuple(itertools.islice(_block_rows(part.params), part.params.n))
     return PowerSumTable(part.params, rows)
 
 
@@ -77,11 +126,14 @@ class EspReport:
 
 
 def verify_esp(part, through_degree):
-    """Check equal power sums across all classes for exponents 0..through_degree."""
+    """Check equal power sums across all classes for exponents 0..through_degree.
+
+    Rows are built only up to the first violation, so a large through_degree
+    costs nothing past it.
+    """
     if through_degree < 0:
         raise ValueError(f"through_degree must be non-negative, got {through_degree!r}")
-    for m in range(through_degree + 1):
-        sums = [power_sum(cls, m) for cls in part.classes]
+    for m, sums in zip(range(through_degree + 1), _block_rows(part.params)):
         for k in range(1, len(sums)):
             if sums[k] != sums[0]:
                 return EspReport(m - 1, (m, 0, k))

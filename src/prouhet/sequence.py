@@ -81,8 +81,15 @@ def ptm_term(n, p):
 
 
 def ptm_block(params):
-    """The first p**n sequence terms, each computed digit-by-digit."""
-    return [ptm_term(i, params.p) for i in range(params.block_length)]
+    """The first p**n sequence terms, by the digit recurrence
+    t(i) = (t(i // p) + i % p) mod p: each pass appends one low digit, so the
+    term at q*p + d is row t(q) of the addition table mod p, at column d."""
+    p = params.p
+    table = [[(t + d) % p for d in range(p)] for t in range(p)]
+    block = [0]
+    for _ in range(params.n):
+        block = [term for t in block for term in table[t]]
+    return block
 
 
 def ptm_block_recursive(params):

@@ -82,6 +82,16 @@ class TestPartitionCommand:
         assert result["checked_through"] == 2
         assert result["first_violation"] == [2, 0, 2]
 
+    def test_far_check_beyond_stops_at_first_violation(self, capsys):
+        start = time.perf_counter()
+        code, envelope = run_json(
+            capsys, ["partition", "--p", "2", "--m", "3", "--check-beyond", "100000"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert envelope["result"]["checked_through"] == 100000
+        assert envelope["result"]["first_violation"] == [4, 0, 1]
+
     def test_csv_format(self, capsys):
         code = main(["partition", "--p", "2", "--m", "1", "--format", "csv"])
         assert code == 0

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -8,14 +10,18 @@ from prouhet import (
     CyclotomicElement,
     LehmerSpec,
     PTMParams,
+    class_power_sums,
     lehmer_expand,
     lehmer_verify,
     lehmer_weighted_sum,
     multiset_power_sum,
+    omega_pow,
     product_identity_sides,
     prouhet_partition,
     verify_product_identity,
 )
+
+from randomized import random_cases
 
 
 def brute_force_class_sums(p, mu, exponent):
@@ -25,6 +31,32 @@ def brute_force_class_sums(p, mu, exponent):
         value = sum(d * w for d, w in zip(digits, mu))
         sums[sum(digits) % p] += value**exponent
     return sums
+
+
+def product_classes(p, mu):
+    """Oracle: (value, multiplicity) pairs per class from itertools.product."""
+    counters = [Counter() for _ in range(p)]
+    for digits in itertools.product(range(p), repeat=len(mu)):
+        counters[sum(digits) % p][sum(d * w for d, w in zip(digits, mu))] += 1
+    return tuple(tuple(sorted(c.items())) for c in counters)
+
+
+def per_tuple_weighted_sum(spec, exponent):
+    """Oracle: sum over every tuple of w^{digit sum} * value**exponent."""
+    total = CyclotomicElement.zero(spec.p)
+    for k, s in enumerate(brute_force_class_sums(spec.p, spec.mu, exponent)):
+        total = total + s * omega_pow(spec.p, k)
+    return total
+
+
+def random_spec(rng):
+    """A small spec whose weights are random, or repeat one weight so that
+    distinct tuples collide on a value (multiplicities above 1)."""
+    p = rng.randint(2, 4)
+    mu = [rng.randint(1, 30) for _ in range(rng.randint(1, {2: 6, 3: 4, 4: 3}[p]))]
+    if rng.random() < 0.5:
+        mu.insert(rng.randint(0, len(mu)), rng.choice(mu))
+    return LehmerSpec(p, tuple(mu))
 
 
 class TestLehmerSpec:
@@ -56,6 +88,18 @@ class TestLehmerSpec:
     def test_base_powers(self):
         assert LehmerSpec.base_powers(3, 2).mu == (1, 3, 9)
 
+    def test_base_powers_checks_budget_before_building_weights(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            LehmerSpec.base_powers(3, 100000, budget=10)
+        assert time.perf_counter() - start < 1.0
+
+    def test_base_powers_keeps_validation_order(self):
+        with pytest.raises(ValueError):
+            LehmerSpec.base_powers(1, 100000, budget=10)
+        with pytest.raises(ValueError):
+            LehmerSpec.base_powers(3, 100000, budget=0)
+
 
 class TestLehmerExpand:
     def test_collision_keeps_multiplicity(self):
@@ -81,6 +125,16 @@ class TestLehmerExpand:
     @pytest.mark.parametrize("p,mu", [(2, (3, 5)), (3, (1, 2)), (4, (2, 2, 7))])
     def test_total_count(self, p, mu):
         assert lehmer_expand(LehmerSpec(p, mu)).total_count == p ** len(mu)
+
+    @random_cases
+    def test_matches_product_oracle(self, rng):
+        spec = random_spec(rng)
+        assert lehmer_expand(spec).classes == product_classes(spec.p, spec.mu)
+
+    def test_repeated_weight_gives_multiplicities(self):
+        classes = product_classes(3, (2, 5, 2))
+        assert any(mult > 1 for cls in classes for _, mult in cls)
+        assert lehmer_expand(LehmerSpec(3, (2, 5, 2))).classes == classes
 
 
 class TestLehmerVerify:
@@ -115,6 +169,27 @@ class TestLehmerVerify:
         for m in range(3):
             assert list(report.power_sums[m]) == brute_force_class_sums(3, (2, 5, 9), m)
 
+    @random_cases
+    def test_sums_match_product_oracle(self, rng):
+        spec = random_spec(rng)
+        classes = product_classes(spec.p, spec.mu)
+        report = lehmer_verify(spec)
+        assert report.power_sums == tuple(
+            tuple(multiset_power_sum(cls, m) for cls in classes)
+            for m in range(spec.degree + 1)
+        )
+        assert report.first_violation is None
+
+
+class TestClassPowerSums:
+    @random_cases
+    def test_matches_product_oracle(self, rng):
+        spec = random_spec(rng)
+        classes = product_classes(spec.p, spec.mu)
+        rows = itertools.islice(class_power_sums(spec.p, spec.mu), len(spec.mu) + 3)
+        for m, row in enumerate(rows):
+            assert row == tuple(multiset_power_sum(cls, m) for cls in classes), (spec, m)
+
 
 class TestWeightedSum:
     def test_single_weight_p2(self):
@@ -126,6 +201,12 @@ class TestWeightedSum:
         spec = LehmerSpec(p, mu)
         for m in range(len(mu)):
             assert not lehmer_weighted_sum(spec, m)
+
+    @random_cases
+    def test_matches_per_tuple_oracle(self, rng):
+        spec = random_spec(rng)
+        for m in range(len(spec.mu) + 3):
+            assert lehmer_weighted_sum(spec, m) == per_tuple_weighted_sum(spec, m)
 
     def test_first_nonvanishing_p3(self):
         # frozen from the nine-tuple enumeration: class sums at m=2 are

@@ -1,15 +1,20 @@
+import itertools
+
 import pytest
 
 from prouhet import (
     Partition,
     PTMParams,
     ZeroSumVector,
+    class_power_sums,
     power_sum,
     power_sum_table,
     prouhet_partition,
     verify_esp,
     weighted_power_sum,
 )
+
+from randomized import random_cases
 
 # Brute-forced with sum(n**4 for n in ...) over the two classes below.
 S0_P2M3 = (0, 3, 5, 6, 9, 10, 12, 15)
@@ -44,6 +49,25 @@ class TestProuhetPartition:
             Partition(params, ((1,), (0,)))
         with pytest.raises(ValueError):
             Partition(params, ((0, 1), ()))
+
+    # The digit-sum classes of 0..3 are (0, 3) and (1, 2).
+    @pytest.mark.parametrize(
+        "classes",
+        [
+            ((0, 3, 3), (1,)),  # duplicate, with the right member count
+            ((0, 3), (1, 2, 2)),  # duplicate, one member too many
+            ((0, 3), (1,)),  # 2 missing
+            ((0, 3), (1, 2, 4)),  # 4 is past the block
+            ((-1, 0, 3), (1, 2)),  # -1 is before the block
+            ((0, 1), (2, 3)),  # 1 and 3 misassigned
+            ((0, 3), (1, 2), ()),  # one class too many
+        ],
+        ids=["duplicate", "duplicate-extra", "missing", "past-end", "negative",
+             "misassigned", "class-count"],
+    )
+    def test_construction_rejects_bad_members(self, classes):
+        with pytest.raises(ValueError):
+            Partition(PTMParams.from_degree(2, 1), classes)
 
 
 class TestPowerSum:
@@ -133,3 +157,29 @@ class TestCrossOracle:
                 for exp in range(m + 1):
                     direct = table.sums[exp][j] - table.sums[exp][k]
                     assert weighted_power_sum(params, indicator, exp) == direct
+
+
+class TestClassPowerSums:
+    @random_cases
+    def test_matches_partition_power_sums(self, rng):
+        p = rng.randint(2, 5)
+        m = rng.randint(0, {2: 6, 3: 4, 4: 3, 5: 2}[p])
+        params = PTMParams.from_degree(p, m)
+        classes = prouhet_partition(params).classes
+        weights = [p**j for j in range(params.n)]
+        through = m + rng.randint(1, 4)
+        rows = itertools.islice(class_power_sums(p, weights), through + 1)
+        for r, row in enumerate(rows):
+            assert row == tuple(power_sum(cls, r) for cls in classes), (p, m, r)
+
+    def test_no_weights_is_the_single_value_zero(self):
+        rows = list(itertools.islice(class_power_sums(3, []), 3))
+        assert rows == [(1, 0, 0), (0, 0, 0), (0, 0, 0)]
+
+    def test_table_and_check_read_the_rows(self):
+        params = PTMParams.from_degree(3, 2)
+        part = prouhet_partition(params)
+        rows = list(itertools.islice(class_power_sums(3, [1, 3, 9]), 4))
+        assert power_sum_table(part).sums == tuple(rows[:3])
+        assert rows[3][0] != rows[3][1]  # so the check fails first at m = 3
+        assert verify_esp(part, 10**9).first_violation == (3, 0, 1)

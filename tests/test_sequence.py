@@ -11,6 +11,8 @@ from prouhet import (
     ptm_term,
 )
 
+from randomized import random_cases
+
 
 class TestPtmTerm:
     def test_classical_first_eight(self):
@@ -57,6 +59,13 @@ class TestPtmBlock:
     @pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (4, 3), (5, 3), (7, 2)])
     def test_prefix_property(self, p, n):
         assert ptm_block(PTMParams(p, n))[: p ** (n - 1)] == ptm_block(PTMParams(p, n - 1))
+
+    @random_cases
+    def test_matches_per_term_oracle(self, rng):
+        p = rng.randint(2, 9)
+        n = rng.randint(1, 4 if p <= 6 else 3)
+        block = ptm_block(PTMParams(p, n))
+        assert block == [ptm_term(i, p) for i in range(p**n)]
 
     @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (4, 3), (5, 3), (6, 3)])
     def test_class_counts(self, p, n):
