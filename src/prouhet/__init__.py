@@ -44,7 +44,6 @@ from .factorization import (
 )
 from .lehmer import (
     ClassifiedMultiset,
-    LehmerReport,
     LehmerSpec,
     lehmer_expand,
     lehmer_verify,
@@ -63,7 +62,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DensePolynomial",
     "EspReport",
-    "LehmerReport",
     "LehmerSpec",
     "NotDivisibleError",
     "PTMParams",

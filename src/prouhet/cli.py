@@ -49,15 +49,6 @@ def _poly_payload(poly):
     return [_coeff_payload(c) for c in poly.coeffs]
 
 
-def _coeff_cell(c):
-    payload = _coeff_payload(c)
-    return payload if isinstance(payload, str) else ";".join(payload)
-
-
-def _bool_cell(flag):
-    return "true" if flag else "false"
-
-
 def _parse_int_list(text, what):
     try:
         return [int(part) for part in text.split(",")]
@@ -73,6 +64,8 @@ def _cmd_ptm(args):
 
 
 def _cmd_partition(args):
+    if args.check_beyond is not None and args.check_beyond < 0:
+        raise ValueError(f"--check-beyond must be >= 0, got {args.check_beyond}")
     params = PTMParams.from_degree(args.p, args.m, args.budget)
     part = prouhet_partition(params)
     table = power_sum_table(part)
@@ -110,7 +103,7 @@ def _cmd_factor(args):
         values = _parse_int_list(args.coeffs, "--coeffs")
         if len(values) != args.p:
             raise ValueError(f"expected {args.p} coefficients, got {len(values)}")
-        vector = ZeroSumVector.from_integers(values)
+        vector = ZeroSumVector(values)
         mode = "integer"
     block_poly = ptm_polynomial(params, vector)
     divisor = binomial_product(params)
@@ -193,110 +186,105 @@ def _cmd_identities(args):
     return "identities", echo, result, identity_ok and vanish_ok
 
 
-def _plain_lines(command, result):
-    if command == "ptm":
-        return [",".join(str(v) for v in result["sequence"])]
-    if command == "partition":
-        lines = [
-            f"class {k}: " + " ".join(str(n) for n in cls)
-            for k, cls in enumerate(result["classes"])
-        ]
-        lines += [
-            f"m={m}: " + " ".join(row) for m, row in enumerate(result["power_sums"])
-        ]
-        lines.append(f"equal power sums through degree {result['esp_verified_through']}")
-        if "first_violation" in result:
-            violation = result["first_violation"]
-            if violation is None:
-                lines.append(f"no violation found through degree {result['checked_through']}")
-            else:
-                m, j, k = violation
-                lines.append(f"first violation at m={m} between classes {j} and {k}")
-        return lines
-    if command == "factor":
-        def _poly_text(cells):
-            return " | ".join(c if isinstance(c, str) else ",".join(c) for c in cells)
-
-        return [
-            f"block polynomial: {_poly_text(result['ptm_poly'])}",
-            f"divisor: {_poly_text(result['divisor'])}",
-            f"cofactor: {_poly_text(result['cofactor'])}",
-            f"product check: {'pass' if result['product_check'] else 'FAIL'}",
-            f"constructions agree: {'pass' if result['constructions_agree'] else 'FAIL'}",
-        ]
-    if command == "lehmer":
-        lines = []
-        for k, cls in enumerate(result["classes"]):
-            entries = ", ".join(
-                value if mult == 1 else f"{value} (x{mult})" for value, mult in cls
-            )
-            lines.append(f"class {k}: {entries}")
-        lines += [
-            f"m={m}: " + " ".join(row) for m, row in enumerate(result["power_sums"])
-        ]
-        lines.append(f"equal power sums through degree {result['equal_up_to']}")
-        return lines
-    if command == "identities":
-        return [
-            f"product identity: {'pass' if result['product_identity_holds'] else 'FAIL'}",
-            f"weighted sums vanish through degree {result['m']}: "
-            + ("pass" if result["weighted_sums_vanish"] else "FAIL"),
-        ]
-    raise ValueError(f"unknown command {command!r}")
+# Each renderer gives a command's csv lines (csv=True) or plain lines.
 
 
-def _csv_lines(command, result):
-    if command == "ptm":
-        return ["n,value"] + [f"{i},{v}" for i, v in enumerate(result["sequence"])]
-    if command == "partition":
-        lines = [
-            f"class,{k}," + ",".join(str(n) for n in cls)
-            for k, cls in enumerate(result["classes"])
-        ]
-        lines += [f"sum,{m}," + ",".join(row) for m, row in enumerate(result["power_sums"])]
-        lines.append(f"esp_verified_through,{result['esp_verified_through']}")
-        if "first_violation" in result:
-            violation = result["first_violation"]
-            lines.append(
-                "first_violation,none"
-                if violation is None
-                else "first_violation," + ",".join(str(v) for v in violation)
-            )
-        return lines
-    if command == "factor":
-        def _poly_row(name, cells):
-            return f"{name}," + ",".join(
-                c if isinstance(c, str) else ";".join(c) for c in cells
-            )
+def _check_line(csv, key, label, flag):
+    if csv:
+        return f"{key},{'true' if flag else 'false'}"
+    return f"{label}: {'pass' if flag else 'FAIL'}"
 
-        return [
-            _poly_row("ptm_poly", result["ptm_poly"]),
-            _poly_row("divisor", result["divisor"]),
-            _poly_row("cofactor", result["cofactor"]),
-            f"product_check,{_bool_cell(result['product_check'])}",
-            f"constructions_agree,{_bool_cell(result['constructions_agree'])}",
-        ]
-    if command == "lehmer":
-        lines = [
-            f"class,{k}," + ",".join(f"{value}:{mult}" for value, mult in cls)
-            for k, cls in enumerate(result["classes"])
-        ]
-        lines += [f"sum,{m}," + ",".join(row) for m, row in enumerate(result["power_sums"])]
-        lines.append(f"equal_up_to,{result['equal_up_to']}")
-        violation = result["first_violation"]
-        lines.append(
-            "first_violation,none"
-            if violation is None
-            else "first_violation," + ",".join(str(v) for v in violation)
+
+def _class_and_sum_lines(csv, classes, sums, equal_up_to, csv_key, sep=" "):
+    """Class rows, power-sum rows and the agreement degree; `classes` holds
+    each class's cells as text, `sep` joins them in plain output."""
+    if csv:
+        lines = [f"class,{k}," + ",".join(cells) for k, cells in enumerate(classes)]
+        lines += [f"sum,{m}," + ",".join(row) for m, row in enumerate(sums)]
+        return lines + [f"{csv_key},{equal_up_to}"]
+    lines = [f"class {k}: " + sep.join(cells) for k, cells in enumerate(classes)]
+    lines += [f"m={m}: " + " ".join(row) for m, row in enumerate(sums)]
+    return lines + [f"equal power sums through degree {equal_up_to}"]
+
+
+def _violation_line(csv, violation, checked_through=None):
+    if csv:
+        return "first_violation," + (
+            "none" if violation is None else ",".join(str(v) for v in violation)
         )
-        return lines
-    if command == "identities":
-        return [
-            f"product_identity,{_bool_cell(result['product_identity_holds'])}",
-            f"weighted_sums_vanish,{_bool_cell(result['weighted_sums_vanish'])}",
-            f"all_pass,{_bool_cell(result['all_pass'])}",
+    if violation is None:
+        return f"no violation found through degree {checked_through}"
+    m, j, k = violation
+    return f"first violation at m={m} between classes {j} and {k}"
+
+
+def _render_ptm(result, csv):
+    if csv:
+        return ["n,value"] + [f"{i},{v}" for i, v in enumerate(result["sequence"])]
+    return [",".join(str(v) for v in result["sequence"])]
+
+
+def _render_partition(result, csv):
+    classes = [[str(n) for n in cls] for cls in result["classes"]]
+    lines = _class_and_sum_lines(
+        csv, classes, result["power_sums"], result["esp_verified_through"],
+        "esp_verified_through",
+    )
+    if "first_violation" in result:
+        lines.append(_violation_line(csv, result["first_violation"], result["checked_through"]))
+    return lines
+
+
+def _render_factor(result, csv):
+    row_sep, cell_sep = (",", ";") if csv else (" | ", ",")
+    lines = []
+    for key, label in (("ptm_poly", "block polynomial"), ("divisor", "divisor"),
+                       ("cofactor", "cofactor")):
+        text = row_sep.join(c if isinstance(c, str) else cell_sep.join(c) for c in result[key])
+        lines.append(f"{key},{text}" if csv else f"{label}: {text}")
+    return lines + [
+        _check_line(csv, "product_check", "product check", result["product_check"]),
+        _check_line(csv, "constructions_agree", "constructions agree",
+                    result["constructions_agree"]),
+    ]
+
+
+def _render_lehmer(result, csv):
+    if csv:
+        classes = [[f"{value}:{mult}" for value, mult in cls] for cls in result["classes"]]
+    else:
+        classes = [
+            [value if mult == 1 else f"{value} (x{mult})" for value, mult in cls]
+            for cls in result["classes"]
         ]
-    raise ValueError(f"unknown command {command!r}")
+    lines = _class_and_sum_lines(
+        csv, classes, result["power_sums"], result["equal_up_to"], "equal_up_to", sep=", "
+    )
+    if csv:
+        lines.append(_violation_line(csv, result["first_violation"]))
+    return lines
+
+
+def _render_identities(result, csv):
+    lines = [
+        _check_line(csv, "product_identity", "product identity",
+                    result["product_identity_holds"]),
+        _check_line(csv, "weighted_sums_vanish",
+                    f"weighted sums vanish through degree {result['m']}",
+                    result["weighted_sums_vanish"]),
+    ]
+    if csv:
+        lines.append(_check_line(csv, "all_pass", None, result["all_pass"]))
+    return lines
+
+
+_RENDERERS = {
+    "ptm": _render_ptm,
+    "partition": _render_partition,
+    "factor": _render_factor,
+    "lehmer": _render_lehmer,
+    "identities": _render_identities,
+}
 
 
 def _emit(fmt, command, echo, result, elapsed_ms):
@@ -308,10 +296,8 @@ def _emit(fmt, command, echo, result, elapsed_ms):
             "elapsed_ms": elapsed_ms,
         }
         print(json.dumps(envelope))
-    elif fmt == "csv":
-        print("\n".join(_csv_lines(command, result)))
     else:
-        print("\n".join(_plain_lines(command, result)))
+        print("\n".join(_RENDERERS[command](result, fmt == "csv")))
 
 
 def build_parser():

@@ -114,46 +114,26 @@ class DensePolynomial:
         return DensePolynomial(zero if c is None else c for c in out)
 
     def exact_div(self, divisor):
-        """Exact quotient by a divisor whose lowest or highest coefficient
-        is a unit (+1 or -1); raises NotDivisibleError otherwise.
+        """Exact quotient by a divisor whose constant term is a unit (+1 or
+        -1); raises NotDivisibleError otherwise.
 
         Valid over any of the coefficient rings: the only inverse ever taken
-        is of the +-1 pivot.  With the pivot at the bottom the recurrence's
-        own leftover top coefficients must vanish; otherwise the remainder
-        is verified by re-multiplying.  NotDivisibleError always carries the
-        remainder self - quotient * divisor.
+        is of the +-1 pivot.  Exactness is read off the recurrence's own
+        leftover top coefficients, which must vanish.  NotDivisibleError
+        carries the remainder self - quotient * divisor.
         """
         if not isinstance(divisor, DensePolynomial):
             raise TypeError("divisor must be a DensePolynomial")
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
+        f, g = self.coeffs, divisor.coeffs
+        if g[0] != 1 and g[0] != -1:
+            raise ValueError("divisor must have a unit (+1/-1) constant term")
         if not self:
             return DensePolynomial()
-        f, g = self.coeffs, divisor.coeffs
         qlen = len(f) - len(g) + 1
         if qlen <= 0:
             raise NotDivisibleError(self)
-        if g[0] == 1 or g[0] == -1:
-            quotient, exact = self._div_from_bottom(f, g, qlen)
-            if exact:
-                return quotient
-        elif g[-1] == 1 or g[-1] == -1:
-            quotient = self._div_from_top(f, g, qlen)
-        else:
-            raise ValueError(
-                "divisor must have a unit (+1/-1) lowest or highest coefficient"
-            )
-        remainder = self - quotient * divisor
-        if remainder:
-            raise NotDivisibleError(remainder)
-        return quotient
-
-    @staticmethod
-    def _div_from_bottom(f, g, qlen):
-        """Quotient from the low-order recurrence, and whether the division
-        is exact.  f - q*g vanishes below qlen by construction; at j >= qlen
-        its coefficient is f[j] - sum g[i]*q[j-i], so the division is exact
-        exactly when all of those leftovers vanish."""
         sign = g[0]
         support = [(i, gi) for i, gi in enumerate(g) if i > 0 and gi]
         q = []
@@ -164,6 +144,10 @@ class DensePolynomial:
                     break
                 acc = acc - gi * q[j - i]
             q.append(acc if sign == 1 else -acc)
+        quotient = DensePolynomial(q)
+        # f - q*g vanishes below qlen by construction; at j >= qlen its
+        # coefficient is f[j] - sum g[i]*q[j-i], so the division is exact
+        # exactly when all of those leftovers vanish.
         for j in range(qlen, len(f)):
             acc = f[j]
             for i, gi in support:
@@ -172,23 +156,8 @@ class DensePolynomial:
                 if j - i < qlen:
                     acc = acc - gi * q[j - i]
             if acc:
-                return DensePolynomial(q), False
-        return DensePolynomial(q), True
-
-    @staticmethod
-    def _div_from_top(f, g, qlen):
-        sign = g[-1]
-        top = len(g) - 1
-        support = [(i, gi) for i, gi in enumerate(g) if i < top and gi]
-        q = [None] * qlen
-        for j in range(qlen - 1, -1, -1):
-            acc = f[j + top]
-            for i, gi in support:
-                k = j + top - i  # quotient slot contributing via g's x^i term
-                if j < k < qlen:
-                    acc = acc - gi * q[k]
-            q[j] = acc if sign == 1 else -acc
-        return DensePolynomial(q)
+                raise NotDivisibleError(self - quotient * divisor)
+        return quotient
 
     def __eq__(self, other):
         if not isinstance(other, DensePolynomial):

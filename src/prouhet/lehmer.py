@@ -18,11 +18,10 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
 
 from .factorization import DensePolynomial, first_coefficient_mismatch, ptm_polynomial
-from .partition import class_power_sums
-from .rings import CyclotomicElement, omega_pow
+from .partition import class_power_sums, scan_power_sums
+from .rings import CyclotomicElement, check_base, omega_pow
 from .sequence import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -34,8 +33,7 @@ from .sequence import (
 
 def _check_tuple_count(p, count, budget):
     """Reject a bad base or budget, then p**count tuples over the budget."""
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"base p must be an integer >= 2, got {p!r}")
+    check_base(p)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget!r}")
     if power_exceeds(p, count, budget):
@@ -129,15 +127,6 @@ def lehmer_expand(spec):
     return ClassifiedMultiset(p, tuple(tuple(sorted(c.items())) for c in counters))
 
 
-@dataclass(frozen=True)
-class LehmerReport:
-    """Power-sum comparison across the classified multisets for m = 0..M."""
-
-    equal_up_to: int
-    first_violation: Optional[tuple]
-    power_sums: tuple
-
-
 def _class_moments(pairs, degree):
     """multiset_power_sum(pairs, m) for m = 0..degree, one running power per value."""
     values = [value for value, _ in pairs]
@@ -150,14 +139,11 @@ def _class_moments(pairs, degree):
 
 
 def lehmer_verify(spec):
-    """Check equal multiset power sums across all p classes for m = 0..M."""
+    """Check equal multiset power sums across all p classes for m = 0..M,
+    as an EspReport."""
     multiset = lehmer_expand(spec)
-    rows = tuple(zip(*(_class_moments(cls, spec.degree) for cls in multiset.classes)))
-    for m, sums in enumerate(rows):
-        for k in range(1, len(sums)):
-            if sums[k] != sums[0]:
-                return LehmerReport(m - 1, (m, 0, k), rows)
-    return LehmerReport(spec.degree, None, rows)
+    rows = zip(*(_class_moments(cls, spec.degree) for cls in multiset.classes))
+    return scan_power_sums(rows, spec.degree)
 
 
 def lehmer_weighted_sum(spec, exponent):
@@ -184,7 +170,7 @@ def product_identity_sides(p, degree, budget=DEFAULT_BUDGET):
     Right: the block polynomial whose x^i coefficient is w^{t(i)},
     i = 0..p**(degree+1)-1.  For p = 2 each factor is 1 - x^{2^m}.
     """
-    params = PTMParams(p, degree + 1, budget)
+    params = PTMParams.from_degree(p, degree, budget)
     lhs = DensePolynomial([CyclotomicElement.one(p)])
     for level in range(degree + 1):
         stride = p**level

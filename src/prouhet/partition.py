@@ -8,7 +8,7 @@ up to n - 1 (all sums are exact big integers, with 0**0 = 1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 # ptm_term stays importable from here: perfbench/spans.py wraps it by this name.
@@ -17,38 +17,26 @@ from .sequence import PTMParams, ptm_block, ptm_term  # noqa: F401
 
 @dataclass(frozen=True)
 class Partition:
-    """The p digit-sum classes S_0, ..., S_{p-1} of {0, ..., p**n - 1}."""
+    """The p digit-sum classes S_0, ..., S_{p-1} of {0, ..., p**n - 1}.
+
+    Determined by its params: class k holds every n with t(n) = k, read off
+    one ptm_block.
+    """
 
     params: PTMParams
-    classes: tuple
+    classes: tuple = field(init=False)
 
     def __post_init__(self):
-        p = self.params.p
-        if len(self.classes) != p:
-            raise ValueError(f"expected {p} classes, got {len(self.classes)}")
-        labels = ptm_block(self.params)
-        size = len(labels)
-        seen = bytearray(size)
-        for k, cls in enumerate(self.classes):
-            for n in cls:
-                if not 0 <= n < size:
-                    raise ValueError(f"{n} lies outside the block 0..{size - 1}")
-                if seen[n]:
-                    raise ValueError(f"{n} appears more than once")
-                if labels[n] != k:
-                    raise ValueError(f"{n} does not belong in class {k}")
-                seen[n] = 1
-        if sum(map(len, self.classes)) != size:
-            raise ValueError("classes must partition the full block exactly")
+        buckets = [[] for _ in range(self.params.p)]
+        appends = [bucket.append for bucket in buckets]
+        for n, label in enumerate(ptm_block(self.params)):
+            appends[label](n)
+        object.__setattr__(self, "classes", tuple(tuple(b) for b in buckets))
 
 
 def prouhet_partition(params):
-    """Assign each n in {0, ..., p**n - 1} to class t(n), read off ptm_block."""
-    buckets = [[] for _ in range(params.p)]
-    appends = [bucket.append for bucket in buckets]
-    for n, label in enumerate(ptm_block(params)):
-        appends[label](n)
-    return Partition(params, tuple(tuple(b) for b in buckets))
+    """The digit-sum partition of {0, ..., p**n - 1}."""
+    return Partition(params)
 
 
 def power_sum(values, exponent):
@@ -118,23 +106,32 @@ class EspReport:
 
     equal_up_to is the largest degree d <= through_degree with all classes
     agreeing for every exponent <= d (-1 if they already differ in size);
-    first_violation is the lexicographically first failing (m, j, k).
+    first_violation is the lexicographically first failing (m, j, k);
+    power_sums holds the rows scanned, degree 0 through the last one read.
     """
 
     equal_up_to: int
     first_violation: Optional[tuple]
+    power_sums: tuple
+
+
+def scan_power_sums(rows, through_degree):
+    """EspReport of the class power-sum rows for degrees 0..through_degree.
+
+    Rows are read only up to the first violation, so a lazy source past it
+    is never built.
+    """
+    scanned = []
+    for m, sums in zip(range(through_degree + 1), rows):
+        scanned.append(sums)
+        for k in range(1, len(sums)):
+            if sums[k] != sums[0]:
+                return EspReport(m - 1, (m, 0, k), tuple(scanned))
+    return EspReport(through_degree, None, tuple(scanned))
 
 
 def verify_esp(part, through_degree):
-    """Check equal power sums across all classes for exponents 0..through_degree.
-
-    Rows are built only up to the first violation, so a large through_degree
-    costs nothing past it.
-    """
+    """Check equal power sums across all classes for exponents 0..through_degree."""
     if through_degree < 0:
         raise ValueError(f"through_degree must be non-negative, got {through_degree!r}")
-    for m, sums in zip(range(through_degree + 1), _block_rows(part.params)):
-        for k in range(1, len(sums)):
-            if sums[k] != sums[0]:
-                return EspReport(m - 1, (m, 0, k))
-    return EspReport(through_degree, None)
+    return scan_power_sums(_block_rows(part.params), through_degree)

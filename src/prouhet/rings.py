@@ -17,9 +17,10 @@ Pure functions throughout, safe to share across threads.
 from __future__ import annotations
 
 
-def _check_base(p):
+def check_base(p):
+    """Reject any base p that is not an integer >= 2."""
     if not isinstance(p, int) or p < 2:
-        raise ValueError(f"base must be an integer >= 2, got {p!r}")
+        raise ValueError(f"base p must be an integer >= 2, got {p!r}")
 
 
 def _signed_terms(pairs):
@@ -55,7 +56,7 @@ class CyclotomicElement:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
-        _check_base(p)
+        check_base(p)
         coeffs = tuple(coeffs)
         if len(coeffs) != p - 1:
             raise ValueError(
@@ -169,7 +170,7 @@ class CyclotomicElement:
 
 def omega_pow(p, k):
     """w^k in canonical form; k may be any integer (reduced mod p)."""
-    _check_base(p)
+    check_base(p)
     k %= p
     if k == p - 1:
         return CyclotomicElement(p, (-1,) * (p - 1))
@@ -188,7 +189,7 @@ class ZeroSumForm:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
-        _check_base(p)
+        check_base(p)
         coeffs = tuple(coeffs)
         if len(coeffs) != p - 1:
             raise ValueError(
@@ -204,7 +205,7 @@ class ZeroSumForm:
     @classmethod
     def generator(cls, p, index):
         """The form a_index; for index = p-1 this is -(a_0 + ... + a_{p-2})."""
-        _check_base(p)
+        check_base(p)
         if not 0 <= index <= p - 1:
             raise IndexError(f"symbol index {index} out of range for base {p}")
         if index == p - 1:

@@ -10,7 +10,7 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from .rings import ZeroSumForm, omega_pow
+from .rings import ZeroSumForm, check_base, omega_pow
 
 DEFAULT_BUDGET = 10**7
 
@@ -39,8 +39,7 @@ class PTMParams:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 2:
-            raise ValueError(f"base p must be an integer >= 2, got {self.p!r}")
+        check_base(self.p)
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"block exponent n must be an integer >= 1, got {self.n!r}")
         if self.budget < 1:
@@ -69,8 +68,7 @@ class PTMParams:
 
 def ptm_term(n, p):
     """Sum of the base-p digits of n, reduced mod p."""
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"base must be an integer >= 2, got {p!r}")
+    check_base(p)
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n!r}")
     total = 0
@@ -120,10 +118,6 @@ class ZeroSumVector:
             raise ValueError(f"entries must sum to zero, got sum {total!s}")
         self.p = len(entries)
         self.entries = entries
-
-    @classmethod
-    def from_integers(cls, values):
-        return cls(tuple(values))
 
     @classmethod
     def symbolic(cls, p):

@@ -49,7 +49,7 @@ def random_zero_sum_vector(rng, p, bound=10):
         head = [rng.randint(-bound, bound) for _ in range(p - 1)]
         last = -sum(head)
         if -bound <= last <= bound and any(head + [last]):
-            return ZeroSumVector.from_integers(head + [last])
+            return ZeroSumVector(head + [last])
 
 
 def criterion_sweep_vectors(rng, p):
@@ -204,7 +204,7 @@ def test_criterion_8_three_way_oracle_agreement(capsys):
                         for k in range(j + 1, p):
                             entries = [0] * p
                             entries[j], entries[k] = 1, -1
-                            indicator = ZeroSumVector.from_integers(entries)
+                            indicator = ZeroSumVector(entries)
                             assert weighted_power_sum(params, indicator, exp) == (
                                 direct[j] - direct[k]
                             ), (p, m, exp, j, k)

@@ -1,12 +1,15 @@
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import prouhet.cli
-from prouhet import DensePolynomial, NotDivisibleError
+import prouhet.partition
+from prouhet import DensePolynomial, NotDivisibleError, ptm_block
 from prouhet.cli import main
 
 SPEC_PARTITION_RESULT = {
@@ -16,6 +19,18 @@ SPEC_PARTITION_RESULT = {
     "power_sums": [["8", "8"], ["60", "60"], ["620", "620"], ["7200", "7200"]],
     "esp_verified_through": 3,
 }
+
+
+# stdout and exit code of every command in json, csv and plain, recorded
+# byte for byte; json output is recorded without its wall-clock elapsed_ms.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(capsys, command):
+    code = main(command.split())
+    out = re.sub(r', "elapsed_ms": [^,}]*\}$', "}", capsys.readouterr().out)
+    assert (code, out) == (GOLDEN[command]["exit"], GOLDEN[command]["stdout"])
 
 
 def run_json(capsys, argv):
@@ -91,6 +106,25 @@ class TestPartitionCommand:
         assert code == 0
         assert envelope["result"]["checked_through"] == 100000
         assert envelope["result"]["first_violation"] == [4, 0, 1]
+
+    def test_rejects_negative_check_beyond(self, capsys):
+        code = main(["partition", "--p", "2", "--m", "2", "--check-beyond", "-3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--check-beyond must be >= 0, got -3" in captured.err
+        assert captured.out == ""
+
+    def test_builds_the_label_block_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return ptm_block(params)
+
+        monkeypatch.setattr(prouhet.partition, "ptm_block", counted)
+        code = main(["partition", "--p", "3", "--m", "2", "--check-beyond", "5"])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_csv_format(self, capsys):
         code = main(["partition", "--p", "2", "--m", "1", "--format", "csv"])
@@ -195,6 +229,11 @@ class TestIdentitiesCommand:
         assert result["all_pass"] is True
         assert result["first_mismatch"] is None
         assert result["first_nonvanishing"] is None
+
+    def test_negative_degree_names_the_degree(self, capsys):
+        code = main(["identities", "--p", "2", "--m", "-1"])
+        assert code == 2
+        assert "degree must be an integer >= 0, got -1" in capsys.readouterr().err
 
     def test_csv(self, capsys):
         code = main(["identities", "--p", "2", "--m", "1", "--format", "csv"])

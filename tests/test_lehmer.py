@@ -8,6 +8,7 @@ import pytest
 from prouhet import (
     BudgetExceededError,
     CyclotomicElement,
+    EspReport,
     LehmerSpec,
     PTMParams,
     class_power_sums,
@@ -140,6 +141,7 @@ class TestLehmerExpand:
 class TestLehmerVerify:
     def test_golden_base_powers(self):
         report = lehmer_verify(LehmerSpec(2, (1, 2, 4, 8)))
+        assert isinstance(report, EspReport)  # the report verify_esp gives
         assert report.equal_up_to == 3
         assert report.first_violation is None
         assert report.power_sums == ((8, 8), (60, 60), (620, 620), (7200, 7200))

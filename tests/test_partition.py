@@ -10,6 +10,7 @@ from prouhet import (
     power_sum,
     power_sum_table,
     prouhet_partition,
+    ptm_term,
     verify_esp,
     weighted_power_sum,
 )
@@ -43,31 +44,18 @@ class TestProuhetPartition:
         members = sorted(n for cls in part.classes for n in cls)
         assert members == list(range(p ** (m + 1)))
 
-    def test_construction_rejects_misassigned_classes(self):
-        params = PTMParams.from_degree(2, 0)
-        with pytest.raises(ValueError):
-            Partition(params, ((1,), (0,)))
-        with pytest.raises(ValueError):
-            Partition(params, ((0, 1), ()))
+    @pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (5, 1)])
+    def test_members_match_digit_sum_oracle(self, p, m):
+        part = prouhet_partition(PTMParams.from_degree(p, m))
+        for k, cls in enumerate(part.classes):
+            assert all(ptm_term(n, p) == k for n in cls)
 
-    # The digit-sum classes of 0..3 are (0, 3) and (1, 2).
-    @pytest.mark.parametrize(
-        "classes",
-        [
-            ((0, 3, 3), (1,)),  # duplicate, with the right member count
-            ((0, 3), (1, 2, 2)),  # duplicate, one member too many
-            ((0, 3), (1,)),  # 2 missing
-            ((0, 3), (1, 2, 4)),  # 4 is past the block
-            ((-1, 0, 3), (1, 2)),  # -1 is before the block
-            ((0, 1), (2, 3)),  # 1 and 3 misassigned
-            ((0, 3), (1, 2), ()),  # one class too many
-        ],
-        ids=["duplicate", "duplicate-extra", "missing", "past-end", "negative",
-             "misassigned", "class-count"],
-    )
-    def test_construction_rejects_bad_members(self, classes):
-        with pytest.raises(ValueError):
-            Partition(PTMParams.from_degree(2, 1), classes)
+    def test_determined_by_params(self):
+        params = PTMParams.from_degree(2, 1)
+        assert Partition(params) == prouhet_partition(params)
+        assert Partition(params).classes == ((0, 3), (1, 2))
+        with pytest.raises(TypeError):
+            Partition(params, ((0, 3), (1, 2)))
 
 
 class TestPowerSum:
@@ -115,6 +103,7 @@ class TestVerifyEsp:
         report = verify_esp(part, 4)
         assert report.equal_up_to == 3
         assert report.first_violation == (4, 0, 1)
+        assert report.power_sums == power_sum_table(part).sums + ((89924, 88388),)
         # brute-force oracle for the two fourth-power sums
         assert power_sum(S0_P2M3, 4) == 89924
         assert power_sum(S1_P2M3, 4) == 88388
@@ -153,7 +142,7 @@ class TestCrossOracle:
             for k in range(j + 1, p):
                 entries = [0] * p
                 entries[j], entries[k] = 1, -1
-                indicator = ZeroSumVector.from_integers(entries)
+                indicator = ZeroSumVector(entries)
                 for exp in range(m + 1):
                     direct = table.sums[exp][j] - table.sums[exp][k]
                     assert weighted_power_sum(params, indicator, exp) == direct
@@ -182,4 +171,6 @@ class TestClassPowerSums:
         rows = list(itertools.islice(class_power_sums(3, [1, 3, 9]), 4))
         assert power_sum_table(part).sums == tuple(rows[:3])
         assert rows[3][0] != rows[3][1]  # so the check fails first at m = 3
-        assert verify_esp(part, 10**9).first_violation == (3, 0, 1)
+        report = verify_esp(part, 10**9)
+        assert report.first_violation == (3, 0, 1)
+        assert report.power_sums == tuple(rows)  # no row read past the violation

@@ -1,7 +1,11 @@
+import re
+
 import pytest
 
 from prouhet import (
     BudgetExceededError,
+    CyclotomicElement,
+    LehmerSpec,
     PTMParams,
     ZeroSumForm,
     ZeroSumVector,
@@ -100,6 +104,21 @@ class TestPTMParams:
         with pytest.raises(BudgetExceededError):
             PTMParams(10, 3, budget=999)
 
+    @pytest.mark.parametrize("p", [1, 0, 2.0, "2"])
+    def test_one_base_check_everywhere(self, p):
+        message = re.escape(f"base p must be an integer >= 2, got {p!r}")
+        builders = [
+            lambda: PTMParams(p, 1),
+            lambda: ptm_term(1, p),
+            lambda: LehmerSpec(p, (1,)),
+            lambda: CyclotomicElement(p, ()),
+            lambda: ZeroSumForm(p, ()),
+            lambda: omega_pow(p, 1),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match=message):
+                build()
+
     def test_degree_relation(self):
         params = PTMParams.from_degree(3, 2)
         assert params.n == 3
@@ -109,18 +128,18 @@ class TestPTMParams:
 class TestZeroSumVector:
     def test_rejects_nonzero_sum_and_reports_it(self):
         with pytest.raises(ValueError, match="sum 3"):
-            ZeroSumVector.from_integers([1, 2])
+            ZeroSumVector([1, 2])
 
     def test_shift_identity(self):
-        a = ZeroSumVector.from_integers([1, 1, -2])
+        a = ZeroSumVector([1, 1, -2])
         assert a.shift(0) == a
 
     def test_shift_left_by_one(self):
-        a = ZeroSumVector.from_integers([5, -2, -3])
+        a = ZeroSumVector([5, -2, -3])
         assert a.shift(1).entries == (-2, -3, 5)
 
     def test_shift_full_cycle(self):
-        a = ZeroSumVector.from_integers([4, -1, -3])
+        a = ZeroSumVector([4, -1, -3])
         assert a.shift(1).shift(a.p - 1) == a
         assert a.shift(7) == a.shift(7 % 3)
 
@@ -136,25 +155,25 @@ class TestZeroSumVector:
             assert a[k] == omega_pow(p, k)
 
     def test_prefix_sums_base_case(self):
-        a = ZeroSumVector.from_integers([1, 1, -2])
+        a = ZeroSumVector([1, 1, -2])
         prefixes = a.prefix_shift_sums()
         assert prefixes[0] == a
 
     def test_prefix_sums_derived_example(self):
         # B_1 = A + shift(A,1) = (1,1,-2) + (1,-2,1) = (2,-1,-1) = -shift(A,2)
-        a = ZeroSumVector.from_integers([1, 1, -2])
+        a = ZeroSumVector([1, 1, -2])
         prefixes = a.prefix_shift_sums()
         assert prefixes[1].entries == (2, -1, -1)
         assert prefixes[1] == -a.shift(2)
 
     def test_prefix_sums_last_equals_minus_last_shift(self):
-        a = ZeroSumVector.from_integers([3, -1, 2, -4])
+        a = ZeroSumVector([3, -1, 2, -4])
         assert a.prefix_shift_sums()[-1] == -a.shift(a.p - 1)
 
     def test_prefix_sums_p2(self):
         # with a1 = -a0 the single prefix vector is the vector itself,
         # and -shift(A,1) = A is forced by the zero sum
-        a = ZeroSumVector.from_integers([7, -7])
+        a = ZeroSumVector([7, -7])
         assert a.prefix_shift_sums() == [a]
         assert -a.shift(1) == a
 
@@ -165,5 +184,5 @@ class TestZeroSumVector:
                 assert len(vec) == p
 
     def test_is_zero(self):
-        assert ZeroSumVector.from_integers([0, 0, 0]).is_zero
-        assert not ZeroSumVector.from_integers([1, -1]).is_zero
+        assert ZeroSumVector([0, 0, 0]).is_zero
+        assert not ZeroSumVector([1, -1]).is_zero
