@@ -37,10 +37,6 @@ from .factorization import (
     first_coefficient_mismatch,
     one_minus_x_pow,
     ptm_polynomial,
-    ptm_polynomial_recursive,
-    specialize,
-    vanishing_order_at_one,
-    weighted_power_sum,
 )
 from .lehmer import (
     ClassifiedMultiset,
@@ -48,9 +44,7 @@ from .lehmer import (
     lehmer_expand,
     lehmer_verify,
     lehmer_weighted_sum,
-    multiset_power_sum,
     product_identity_sides,
-    verify_product_identity,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +72,6 @@ __all__ = [
     "lehmer_expand",
     "lehmer_verify",
     "lehmer_weighted_sum",
-    "multiset_power_sum",
     "omega_pow",
     "one_minus_x_pow",
     "power_sum",
@@ -88,11 +81,6 @@ __all__ = [
     "ptm_block",
     "ptm_block_recursive",
     "ptm_polynomial",
-    "ptm_polynomial_recursive",
     "ptm_term",
-    "specialize",
-    "vanishing_order_at_one",
     "verify_esp",
-    "verify_product_identity",
-    "weighted_power_sum",
 ]

@@ -11,6 +11,7 @@ a division that leaves a remainder (NotDivisibleError, which means a bug),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -22,6 +23,7 @@ from .factorization import (
     cofactor_recursive,
     first_coefficient_mismatch,
     ptm_polynomial,
+    times_binomial_product,
 )
 from .lehmer import (
     LehmerSpec,
@@ -30,7 +32,9 @@ from .lehmer import (
     lehmer_weighted_sum,
     product_identity_sides,
 )
-from .partition import power_sum_table, prouhet_partition, verify_esp
+# power_sum_table stays importable from here: perfbench/spans.py wraps it by this name.
+from .partition import power_sum_table  # noqa: F401
+from .partition import prouhet_partition, verify_esp
 from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, ZeroSumVector, ptm_block
 
 EXIT_OK = 0
@@ -68,14 +72,14 @@ def _cmd_partition(args):
         raise ValueError(f"--check-beyond must be >= 0, got {args.check_beyond}")
     params = PTMParams.from_degree(args.p, args.m, args.budget)
     part = prouhet_partition(params)
-    table = power_sum_table(part)
     through = args.m if args.check_beyond is None else max(args.m, args.check_beyond)
     report = verify_esp(part, through)
+    assert len(report.power_sums) > args.m  # ESP holds through m <= through
     result = {
         "p": args.p,
         "m": args.m,
         "classes": [list(cls) for cls in part.classes],
-        "power_sums": [[str(s) for s in row] for row in table.sums],
+        "power_sums": [[str(s) for s in row] for row in report.power_sums[: args.m + 1]],
         "esp_verified_through": report.equal_up_to,
     }
     if args.check_beyond is not None:
@@ -109,7 +113,7 @@ def _cmd_factor(args):
     divisor = binomial_product(params)
     cofactor = cofactor_by_division(params, vector)
     recursive = cofactor_recursive(params, vector)
-    product_check = cofactor * divisor == block_poly
+    product_check = times_binomial_product(params, cofactor) == block_poly
     agree = cofactor == recursive
     result = {
         "p": args.p,
@@ -383,9 +387,12 @@ def build_parser():
     return parser
 
 
+# Built on first use, then reused: argparse keeps no state between parses.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         command, echo, result, ok = args.handler(args)

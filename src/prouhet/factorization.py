@@ -13,14 +13,20 @@ least n, which is what makes the digit-sum classes share power sums.
 
 Polynomials are dense coefficient tuples, lowest degree first, with no
 trailing zeros; coefficients live in any of the exact rings (int,
-CyclotomicElement, ZeroSumForm).  All arithmetic is exact; there is no
-floating point anywhere.
+CyclotomicElement, ZeroSumForm).  Each ring adds coordinate by coordinate
+(an int is its own coordinate, a ring element its coeffs), and multiplying
+or dividing by 1 - x^d only adds, so the factorization runs on plain-int
+coordinate columns; the ring-generic DensePolynomial multiply and
+exact_div are the reference for those kernels.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
-from .rings import ZeroSumForm
-from .sequence import PTMParams, ZeroSumVector, ptm_block, ptm_term
+import itertools
+import operator
+
+# ptm_term stays importable from here: perfbench/spans.py wraps it by this name.
+from .sequence import ZeroSumVector, ptm_block, ptm_term  # noqa: F401
 
 
 class NotDivisibleError(ArithmeticError):
@@ -57,10 +63,6 @@ class DensePolynomial:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
-
-    def map_coeffs(self, fn):
-        """Apply fn to every coefficient and re-canonicalize."""
-        return DensePolynomial(fn(c) for c in self.coeffs)
 
     def shifted(self, d):
         """Multiply by x^d."""
@@ -194,6 +196,35 @@ class DensePolynomial:
         return out
 
 
+def coordinate_columns(values, sample):
+    """The coordinate columns of ring values of sample's ring, as int lists."""
+    if isinstance(sample, int):
+        return [list(values)]
+    return [list(column) for column in zip(*(v.coeffs for v in values))]
+
+
+def polynomial_from_columns(columns, sample):
+    """The polynomial over sample's ring whose coordinate columns are given;
+    all-zero rows share one zero element."""
+    if isinstance(sample, int):
+        return DensePolynomial(columns[0])
+    ring, zero = type(sample), 0 * sample
+    return DensePolynomial(ring(sample.p, row) if any(row) else zero for row in zip(*columns))
+
+
+def _strided_prefix_sums(column, d):
+    """s[j] = column[j] + s[j - d]: one accumulate per residue class mod d
+    when there are few of them, else one vector add per length-d block."""
+    s = list(column)
+    if d * d < len(s):
+        for r in range(d):
+            s[r::d] = itertools.accumulate(s[r::d])
+    else:
+        for start in range(d, len(s), d):
+            s[start:start + d] = map(operator.add, s[start:start + d], s[start - d:start])
+    return s
+
+
 def one_minus_x_pow(d):
     """The integer binomial 1 - x^d."""
     if d < 1:
@@ -220,35 +251,26 @@ def ptm_polynomial(params, vector):
     return DensePolynomial(vector[t] for t in ptm_block(params))
 
 
-def ptm_polynomial_recursive(params, vector):
-    """Independent blockwise construction of the same polynomial: the level-n
-    polynomial is the sum of the level-(n-1) polynomials of the cyclic shifts
-    of the vector, the k-th moved up by k * p**(n-1)."""
-    p = params.p
-    if len(vector) != p:
-        raise ValueError(f"vector length {len(vector)} does not match base {p}")
-    if params.n == 1:
-        return DensePolynomial(vector)
-    sub = PTMParams(p, params.n - 1, params.budget)
-    stride = p ** (params.n - 1)
-    total = DensePolynomial()
-    for k in range(p):
-        block = ptm_polynomial_recursive(sub, vector.shift(k))
-        total = total + block.shifted(k * stride)
-    return total
-
-
 def binomial_product(params):
     """The divisor: product of (1 - x^{p^m}) for m = 0..n-1, built by
     shift-and-subtract.  Vanishes at x = 1 to order exactly n."""
-    coeffs = [1]
+    return times_binomial_product(params, DensePolynomial([1]))
+
+
+def times_binomial_product(params, poly):
+    """poly * (1 - x)(1 - x^p)...(1 - x^{p^{n-1}}), multiplied back one
+    binomial at a time by shift and subtract on each coordinate column:
+    O(n * p**n) integer operations per column for a cofactor."""
+    if not poly:
+        return poly
+    sample = poly.coeffs[-1]
+    columns = coordinate_columns(poly.coeffs, sample)
     for m in range(params.n):
         d = params.p**m
-        out = coeffs + [0] * d
-        for i, c in enumerate(coeffs):
-            out[i + d] -= c
-        coeffs = out
-    return DensePolynomial(coeffs)
+        columns = [column + [0] * d for column in columns]
+        for column in columns:
+            column[d:] = map(operator.sub, column[d:], column[:-d])
+    return polynomial_from_columns(columns, sample)
 
 
 def cofactor_support_indices(params):
@@ -264,77 +286,59 @@ def cofactor_support_indices(params):
     return tuple(indices)
 
 
+def _vector_columns(params, vector):
+    """The coordinate columns of a length-p vector, p ints each."""
+    if len(vector) != params.p:
+        raise ValueError(f"vector length {len(vector)} does not match base {params.p}")
+    return coordinate_columns(vector, vector[0])
+
+
 def cofactor_recursive(params, vector):
-    """Cofactor built directly, without division.
+    """Cofactor built directly, without division, on each coordinate column
+    of the vector; every column is itself a zero-sum integer vector."""
+    columns = [
+        _recursive_column(params.n, ZeroSumVector(c)) for c in _vector_columns(params, vector)
+    ]
+    return polynomial_from_columns(columns, vector[0])
+
+
+def _recursive_column(n, vector):
+    """Level-n cofactor of a zero-sum integer vector, trailing zeros kept.
 
     Base case: coefficients are the prefix sums of the vector (the last one
     equals minus the final entry, which is what makes the base identity
     close).  Step: place the level-(n-1) cofactors of the prefix-shift-sum
     vectors B_k at offsets k * p**(n-1).
     """
-    p = params.p
-    if len(vector) != p:
-        raise ValueError(f"vector length {len(vector)} does not match base {p}")
-    if params.n == 1:
-        acc = vector[0]
-        coeffs = [acc]
-        for i in range(1, p - 1):
-            acc = acc + vector[i]
-            coeffs.append(acc)
-        return DensePolynomial(coeffs)
-    sub = PTMParams(p, params.n - 1, params.budget)
-    stride = p ** (params.n - 1)
-    total = DensePolynomial()
+    if n == 1:
+        return list(itertools.accumulate(vector[:-1]))
+    stride = vector.p ** (n - 1)
+    out = []
     for k, prefix in enumerate(vector.prefix_shift_sums()):
-        total = total + cofactor_recursive(sub, prefix).shifted(k * stride)
-    return total
+        out += [0] * (k * stride - len(out)) + _recursive_column(n - 1, prefix)
+    return out
 
 
 def cofactor_by_division(params, vector):
     """Cofactor obtained by dividing the block polynomial by each binomial
-    (1 - x^{p^m}) in turn.  Every step is an exact division; a nonzero
+    (1 - x^{p^m}) in turn, on each coordinate column of the vector: O(n * p**n)
+    integer additions per column.  Every step is an exact division; a nonzero
     remainder raises NotDivisibleError and means a bug, since zero-sum
     vectors always divide out cleanly."""
-    quotient = ptm_polynomial(params, vector)
+    labels = ptm_block(params)
+    columns = [list(map(c.__getitem__, labels)) for c in _vector_columns(params, vector)]
     for m in range(params.n):
-        quotient = quotient.exact_div(one_minus_x_pow(params.p**m))
-    return quotient
+        columns = divide_columns(columns, params.p**m, vector[0])
+    return polynomial_from_columns(columns, vector[0])
 
 
-def vanishing_order_at_one(poly):
-    """Multiplicity of the root x = 1, via repeated exact division by 1 - x."""
-    if not poly:
-        raise ValueError("the zero polynomial vanishes to every order at x = 1")
-    binomial = one_minus_x_pow(1)
-    order = 0
-    while True:
-        try:
-            poly = poly.exact_div(binomial)
-        except NotDivisibleError:
-            return order
-        order += 1
-
-
-def weighted_power_sum(params, vector, exponent):
-    """Sum of i**m * vector[t(i)] over the block, in the vector's ring.
-
-    Equals a_0*s_0(m) + ... + a_{p-1}*s_{p-1}(m) where s_k(m) is the m-th
-    power sum of digit-sum class k (0**0 = 1).  Zero for every m < n.
-    """
-    if exponent < 0:
-        raise ValueError(f"exponent must be non-negative, got {exponent!r}")
-    p = params.p
-    if len(vector) != p:
-        raise ValueError(f"vector length {len(vector)} does not match base {p}")
-    total = 0
-    for i in range(params.block_length):
-        total = total + (i**exponent) * vector[ptm_term(i, p)]
-    return total
-
-
-def specialize(poly, values):
-    """Substitute concrete zero-sum values for the symbolic generators in
-    every coefficient; non-symbolic coefficients pass through unchanged."""
-    return poly.map_coeffs(
-        lambda c: c.specialize(values) if isinstance(c, ZeroSumForm) else c
-    )
+def divide_columns(columns, d, sample):
+    """Coordinate columns f divided by 1 - x^d: the strided prefix sums
+    q[j] = f[j] + q[j - d], carried on through the top d places, where they
+    are the remainder f - q * (1 - x^d), zero below them.  A nonzero one
+    raises NotDivisibleError with that remainder in sample's ring."""
+    sums = [_strided_prefix_sums(column, d) for column in columns]
+    if any(any(s[-d:]) for s in sums):
+        remainder = [[0] * (len(s) - d) + s[-d:] for s in sums]
+        raise NotDivisibleError(polynomial_from_columns(remainder, sample))
+    return [s[:-d] for s in sums]

@@ -19,7 +19,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .factorization import DensePolynomial, first_coefficient_mismatch, ptm_polynomial
+from .factorization import polynomial_from_columns, ptm_polynomial
 from .partition import class_power_sums, scan_power_sums
 from .rings import CyclotomicElement, check_base, omega_pow
 from .sequence import (
@@ -100,13 +100,6 @@ class ClassifiedMultiset:
         return tuple(tuple(value for value, _ in cls) for cls in self.classes)
 
 
-def multiset_power_sum(pairs, exponent):
-    """Multiplicity-weighted sum of exponent-th powers (0**0 = 1)."""
-    if exponent < 0:
-        raise ValueError(f"exponent must be non-negative, got {exponent!r}")
-    return sum(mult * value**exponent for value, mult in pairs)
-
-
 def lehmer_expand(spec):
     """Bucket the weighted values of all p**(M+1) digit tuples by digit-sum
     class, keeping multiplicities.
@@ -128,7 +121,8 @@ def lehmer_expand(spec):
 
 
 def _class_moments(pairs, degree):
-    """multiset_power_sum(pairs, m) for m = 0..degree, one running power per value."""
+    """Multiplicity-weighted power sums of (value, multiplicity) pairs for
+    exponents 0..degree (0**0 = 1), one running power per value."""
     values = [value for value, _ in pairs]
     powers = [mult for _, mult in pairs]  # mult * value**0
     sums = [sum(powers)]
@@ -169,20 +163,25 @@ def product_identity_sides(p, degree, budget=DEFAULT_BUDGET):
     1 + w*x^{p^m} + w^2*x^{2*p^m} + ... + w^{p-1}*x^{(p-1)*p^m}.
     Right: the block polynomial whose x^i coefficient is w^{t(i)},
     i = 0..p**(degree+1)-1.  For p = 2 each factor is 1 - x^{2^m}.
+
+    The left side is expanded over Z[w]/(w^p - 1) as p integer columns, the
+    r-th holding the coefficients of w^r: a factor adds column r, moved up by
+    j*p^m, to column (r + j) mod p.  The columns are reduced to the quotient
+    ring once, at the end, by w^{p-1} = -(1 + w + ... + w^{p-2}).
     """
     params = PTMParams.from_degree(p, degree, budget)
-    lhs = DensePolynomial([CyclotomicElement.one(p)])
+    columns = [[1]] + [[0] for _ in range(p - 1)]
     for level in range(degree + 1):
         stride = p**level
-        factor = [CyclotomicElement.zero(p)] * ((p - 1) * stride + 1)
+        grown = [[0] * (len(columns[0]) + (p - 1) * stride) for _ in range(p)]
         for j in range(p):
-            factor[j * stride] = omega_pow(p, j)
-        lhs = lhs * DensePolynomial(factor)
+            start = j * stride
+            for r, column in enumerate(columns):
+                out = grown[(r + j) % p]
+                end = start + len(column)
+                out[start:end] = map(operator.add, out[start:end], column)
+        columns = grown
+    reduced = [list(map(operator.sub, column, columns[-1])) for column in columns[:-1]]
+    lhs = polynomial_from_columns(reduced, CyclotomicElement.one(p))
     rhs = ptm_polynomial(params, ZeroSumVector.roots_of_unity(p))
     return lhs, rhs
-
-
-def verify_product_identity(p, degree, budget=DEFAULT_BUDGET):
-    """True when the product expansion equals the block polynomial exactly."""
-    lhs, rhs = product_identity_sides(p, degree, budget)
-    return first_coefficient_mismatch(lhs, rhs) is None

@@ -19,18 +19,21 @@ from prouhet import (
     cofactor_recursive,
     lehmer_expand,
     lehmer_verify,
-    multiset_power_sum,
     power_sum_table,
     prouhet_partition,
     ptm_polynomial,
-    ptm_polynomial_recursive,
-    vanishing_order_at_one,
     verify_esp,
-    verify_product_identity,
-    weighted_power_sum,
 )
 from prouhet.cli import main
 from prouhet.factorization import DensePolynomial
+
+from oracles import (
+    multiset_power_sum,
+    ptm_polynomial_recursive,
+    vanishing_order_at_one,
+    verify_product_identity,
+    weighted_power_sum,
+)
 
 
 def report(label, fn):

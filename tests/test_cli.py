@@ -126,6 +126,24 @@ class TestPartitionCommand:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--check-beyond", "5"]])
+    def test_reads_the_power_sum_rows_once(self, capsys, monkeypatch, extra):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return block_rows(params)
+
+        block_rows = prouhet.partition._block_rows
+        monkeypatch.setattr(prouhet.partition, "_block_rows", counted)
+        code, envelope = run_json(capsys, ["partition", "--p", "3", "--m", "2", *extra])
+        assert code == 0
+        assert len(calls) == 1
+        classes = envelope["result"]["classes"]
+        assert envelope["result"]["power_sums"] == [
+            [str(sum(n**m for n in cls)) for cls in classes] for m in range(3)
+        ]
+
     def test_csv_format(self, capsys):
         code = main(["partition", "--p", "2", "--m", "1", "--format", "csv"])
         assert code == 0
@@ -268,6 +286,23 @@ class TestHarness:
         with pytest.raises(SystemExit) as err:
             main(["ptm", "--p", "2"])
         assert err.value.code == 2
+
+    def test_repeated_calls_build_the_parser_once(self, capsys):
+        prouhet.cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["ptm", "--p", "2", "--n", "2"]) == 0
+        assert prouhet.cli._parser.cache_info().misses == 1
+
+    def test_usage_errors_leave_the_next_call_working(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["factor", "--p", "2", "--n", "2", "--coeffs", "1,-1", "--symbolic"])
+        assert err.value.code == 2
+        assert main(["ptm", "--p", "1", "--n", "3", "--format", "csv"]) == 2
+        capsys.readouterr()
+        assert main(["ptm", "--p", "2", "--n", "3"]) == 0
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["params"]["format"] == "json"
+        assert envelope["result"]["sequence"] == [0, 1, 1, 0, 1, 0, 0, 1]
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -15,12 +15,14 @@ from prouhet import (
     cofactor_support_indices,
     one_minus_x_pow,
     ptm_polynomial,
+)
+
+from oracles import (
     ptm_polynomial_recursive,
     specialize,
     vanishing_order_at_one,
     weighted_power_sum,
 )
-
 from randomized import random_cases
 
 

@@ -15,13 +15,12 @@ from prouhet import (
     lehmer_expand,
     lehmer_verify,
     lehmer_weighted_sum,
-    multiset_power_sum,
     omega_pow,
     product_identity_sides,
     prouhet_partition,
-    verify_product_identity,
 )
 
+from oracles import multiset_power_sum, verify_product_identity
 from randomized import random_cases
 
 

@@ -12,9 +12,9 @@ from prouhet import (
     prouhet_partition,
     ptm_term,
     verify_esp,
-    weighted_power_sum,
 )
 
+from oracles import weighted_power_sum
 from randomized import random_cases
 
 # Brute-forced with sum(n**4 for n in ...) over the two classes below.
