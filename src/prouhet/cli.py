@@ -22,19 +22,23 @@ from .factorization import (
     cofactor_by_division,
     cofactor_recursive,
     first_coefficient_mismatch,
+    polynomial_from_columns,
     ptm_polynomial,
     times_binomial_product,
 )
+# lehmer_weighted_sum and power_sum_table stay importable from here:
+# perfbench/spans.py wraps them by these names.
+from .lehmer import lehmer_weighted_sum  # noqa: F401
 from .lehmer import (
     LehmerSpec,
     lehmer_expand,
     lehmer_verify,
-    lehmer_weighted_sum,
     product_identity_sides,
+    weighted_sum_coordinates,
 )
-# power_sum_table stays importable from here: perfbench/spans.py wraps it by this name.
 from .partition import power_sum_table  # noqa: F401
-from .partition import prouhet_partition, verify_esp
+from .partition import class_power_sums, prouhet_partition, scan_power_sums, verify_esp
+from .rings import CyclotomicElement
 from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, ZeroSumVector, ptm_block
 
 EXIT_OK = 0
@@ -161,27 +165,36 @@ def _cmd_lehmer(args):
 
 def _cmd_identities(args):
     lhs, rhs = product_identity_sides(args.p, args.m, args.budget)
-    mismatch = first_coefficient_mismatch(lhs, rhs)
+    first_mismatch = None
+    if lhs != rhs:  # equal-length columns; ring values only to name the first difference
+        one = CyclotomicElement.one(args.p)
+        exponent, lhs_coeff, rhs_coeff = first_coefficient_mismatch(
+            polynomial_from_columns(lhs, one), polynomial_from_columns(rhs, one)
+        )
+        first_mismatch = {
+            "exponent": exponent,
+            "lhs": _coeff_payload(lhs_coeff),
+            "rhs": _coeff_payload(rhs_coeff),
+        }
     spec = LehmerSpec.base_powers(args.p, args.m, args.budget)
+    # A weighted sum vanishes exactly when its class power-sum row is
+    # constant (weighted_sum_coordinates), so one scan of the rows decides
+    # every degree at once.
+    report = scan_power_sums(class_power_sums(spec.p, spec.mu), args.m)
     first_nonvanishing = None
-    for m in range(args.m + 1):
-        value = lehmer_weighted_sum(spec, m)
-        if value:
-            first_nonvanishing = {"m": m, "value": _coeff_payload(value)}
-            break
-    identity_ok = mismatch is None
+    if report.first_violation is not None:
+        coordinates = weighted_sum_coordinates(report.power_sums[-1])
+        first_nonvanishing = {
+            "m": report.first_violation[0],
+            "value": [str(c) for c in coordinates],
+        }
+    identity_ok = first_mismatch is None
     vanish_ok = first_nonvanishing is None
     result = {
         "p": args.p,
         "m": args.m,
         "product_identity_holds": identity_ok,
-        "first_mismatch": None
-        if mismatch is None
-        else {
-            "exponent": mismatch[0],
-            "lhs": _coeff_payload(lhs.coefficient(mismatch[0])),
-            "rhs": _coeff_payload(rhs.coefficient(mismatch[0])),
-        },
+        "first_mismatch": first_mismatch,
         "weighted_sums_vanish": vanish_ok,
         "first_nonvanishing": first_nonvanishing,
         "all_pass": identity_ok and vanish_ok,

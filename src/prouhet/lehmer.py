@@ -19,16 +19,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .factorization import polynomial_from_columns, ptm_polynomial
+# ptm_polynomial stays importable from here: perfbench/spans.py wraps it by this name.
+from .factorization import ptm_polynomial  # noqa: F401
 from .partition import class_power_sums, scan_power_sums
-from .rings import CyclotomicElement, check_base, omega_pow
-from .sequence import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    PTMParams,
-    ZeroSumVector,
-    power_exceeds,
-)
+from .rings import CyclotomicElement, check_base
+from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, power_exceeds, ptm_block
 
 
 def _check_tuple_count(p, count, budget):
@@ -140,24 +135,39 @@ def lehmer_verify(spec):
     return scan_power_sums(rows, spec.degree)
 
 
+def weighted_sum_coordinates(row):
+    """Coordinates of S_0 + S_1*w + ... + S_{p-1}*w^{p-1}, S_k = row[k], on
+    the basis 1, w, ..., w^{p-2}.
+
+    In Z[w]/(1 + w + ... + w^{p-1}) the top power is
+    w^{p-1} = -(1 + w + ... + w^{p-2}), so
+    sum_{k<p} S_k * w^k = sum_{k<p-1} (S_k - S_{p-1}) * w^k.
+    The powers 1, ..., w^{p-2} are a basis, so the sum is zero exactly when
+    every S_k equals S_{p-1}.  With S_k the class power sums S_k(r) of a
+    spec, the sum is lehmer_weighted_sum(spec, r): it vanishes exactly when
+    row r of class_power_sums is constant.
+    """
+    last = row[-1]
+    return [s - last for s in row[:-1]]
+
+
 def lehmer_weighted_sum(spec, exponent):
     """The exact cyclotomic value sum_tuples w^{digit sum} * value**m.
 
     The class power sums come from class_power_sums, without listing any
-    tuple, and are scaled by each class's root-of-unity weight.  Zero for
-    every m <= M.
+    tuple, and are read through weighted_sum_coordinates, O(p) additions.
+    Zero for every m <= M.
     """
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent!r}")
     sums = next(itertools.islice(class_power_sums(spec.p, spec.mu), exponent, None))
-    total = CyclotomicElement.zero(spec.p)
-    for k, s in enumerate(sums):
-        total = total + s * omega_pow(spec.p, k)
-    return total
+    return CyclotomicElement(spec.p, weighted_sum_coordinates(sums))
 
 
 def product_identity_sides(p, degree, budget=DEFAULT_BUDGET):
-    """Both sides of the class generating identity over the cyclotomic ring.
+    """Both sides of the class generating identity, as the p - 1 integer
+    columns of their coordinates on w^0, ..., w^{p-2}, each of length
+    p**(degree+1).
 
     Left: the product over m = 0..degree of
     1 + w*x^{p^m} + w^2*x^{2*p^m} + ... + w^{p-1}*x^{(p-1)*p^m}.
@@ -167,9 +177,22 @@ def product_identity_sides(p, degree, budget=DEFAULT_BUDGET):
     The left side is expanded over Z[w]/(w^p - 1) as p integer columns, the
     r-th holding the coefficients of w^r: a factor adds column r, moved up by
     j*p^m, to column (r + j) mod p.  The columns are reduced to the quotient
-    ring once, at the end, by w^{p-1} = -(1 + w + ... + w^{p-2}).
+    ring once, at the end, by w^{p-1} = -(1 + w + ... + w^{p-2}).  The right
+    side reads one ptm_block through the coordinates of w^t: the unit vector
+    e_t for t < p - 1, and all -1 for t = p - 1.  The sides are equal exactly
+    when their columns are; polynomial_from_columns turns either into a
+    polynomial over the cyclotomic ring.
     """
     params = PTMParams.from_degree(p, degree, budget)
+    lhs = _product_columns(p, degree)
+    labels = ptm_block(params)
+    coordinates = [[(t == r) - (t == p - 1) for t in range(p)] for r in range(p - 1)]
+    rhs = [list(map(row.__getitem__, labels)) for row in coordinates]
+    return lhs, rhs
+
+
+def _product_columns(p, degree):
+    """The left side's reduced coordinate columns (see product_identity_sides)."""
     columns = [[1]] + [[0] for _ in range(p - 1)]
     for level in range(degree + 1):
         stride = p**level
@@ -181,7 +204,4 @@ def product_identity_sides(p, degree, budget=DEFAULT_BUDGET):
                 end = start + len(column)
                 out[start:end] = map(operator.add, out[start:end], column)
         columns = grown
-    reduced = [list(map(operator.sub, column, columns[-1])) for column in columns[:-1]]
-    lhs = polynomial_from_columns(reduced, CyclotomicElement.one(p))
-    rhs = ptm_polynomial(params, ZeroSumVector.roots_of_unity(p))
-    return lhs, rhs
+    return [list(map(operator.sub, column, columns[-1])) for column in columns[:-1]]

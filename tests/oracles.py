@@ -17,6 +17,7 @@ from prouhet import (
     product_identity_sides,
     ptm_term,
 )
+from prouhet.factorization import polynomial_from_columns
 
 
 def map_coeffs(poly, fn):
@@ -102,7 +103,14 @@ def dense_product_lhs(p, degree):
     return lhs
 
 
+def identity_side_polynomials(p, degree):
+    """Both sides of product_identity_sides as polynomials over the
+    cyclotomic ring, built from their coordinate columns."""
+    one = CyclotomicElement.one(p)
+    return tuple(polynomial_from_columns(side, one) for side in product_identity_sides(p, degree))
+
+
 def verify_product_identity(p, degree):
     """True when the product expansion equals the block polynomial exactly."""
-    lhs, rhs = product_identity_sides(p, degree)
+    lhs, rhs = identity_side_polynomials(p, degree)
     return first_coefficient_mismatch(lhs, rhs) is None

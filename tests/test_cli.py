@@ -8,8 +8,18 @@ from pathlib import Path
 import pytest
 
 import prouhet.cli
+import prouhet.lehmer
 import prouhet.partition
-from prouhet import DensePolynomial, NotDivisibleError, ptm_block
+from prouhet import (
+    CyclotomicElement,
+    DensePolynomial,
+    LehmerSpec,
+    NotDivisibleError,
+    class_power_sums,
+    lehmer_weighted_sum,
+    product_identity_sides,
+    ptm_block,
+)
 from prouhet.cli import main
 
 SPEC_PARTITION_RESULT = {
@@ -262,6 +272,71 @@ class TestIdentitiesCommand:
             "weighted_sums_vanish,true",
             "all_pass,true",
         ]
+
+    def test_changed_coordinate_is_the_first_mismatch(self, capsys, monkeypatch):
+        def changed(p, degree, budget):
+            lhs, rhs = product_identity_sides(p, degree, budget)
+            lhs[1][40] += 5
+            return lhs, rhs
+
+        monkeypatch.setattr(prouhet.cli, "product_identity_sides", changed)
+        code, envelope = run_json(capsys, ["identities", "--p", "3", "--m", "3"])
+        assert code == 1
+        lhs, rhs = product_identity_sides(3, 3)
+        result = envelope["result"]
+        assert result["product_identity_holds"] is False
+        assert result["first_mismatch"] == {
+            "exponent": 40,
+            "lhs": [str(lhs[0][40]), str(lhs[1][40] + 5)],
+            "rhs": [str(rhs[0][40]), str(rhs[1][40])],
+        }
+        assert result["weighted_sums_vanish"] is True
+        assert result["all_pass"] is False
+
+    @pytest.mark.parametrize("broken", [0, 2])
+    def test_unequal_row_is_the_first_nonvanishing_sum(self, capsys, monkeypatch, broken):
+        def rows(p, weights):
+            for r, row in enumerate(class_power_sums(p, weights)):
+                yield (row[0] + 7,) + row[1:] if r == broken else row
+
+        for module in (prouhet.cli, prouhet.lehmer):
+            monkeypatch.setattr(module, "class_power_sums", rows)
+        code, envelope = run_json(capsys, ["identities", "--p", "4", "--m", "3"])
+        assert code == 1
+        expected = lehmer_weighted_sum(LehmerSpec.base_powers(4, 3), broken)
+        result = envelope["result"]
+        assert result["first_nonvanishing"] == {
+            "m": broken,
+            "value": [str(c) for c in expected.coeffs],
+        }
+        assert expected.coeffs[0] == 7
+        assert result["weighted_sums_vanish"] is False
+        assert result["product_identity_holds"] is True
+
+    def test_work_is_on_integers_with_one_pass_of_rows(self, capsys, monkeypatch):
+        created, row_passes = [], []
+        init = CyclotomicElement.__init__
+
+        def counted_init(self, *args):
+            created.append(args[0])
+            init(self, *args)
+
+        def counted_rows(p, weights):
+            row_passes.append(weights)
+            return class_power_sums(p, weights)
+
+        monkeypatch.setattr(CyclotomicElement, "__init__", counted_init)
+        for module in (prouhet.cli, prouhet.lehmer):
+            monkeypatch.setattr(module, "class_power_sums", counted_rows)
+        counts = {}
+        for m in (1, 6):
+            created.clear()
+            row_passes.clear()
+            assert main(["identities", "--p", "3", "--m", str(m)]) == 0
+            counts[m] = len(created)
+            assert len(row_passes) == 1
+        # 3**7 block coefficients at m = 6, but no ring element per coefficient.
+        assert counts[6] == counts[1]
 
 
 class TestHarness:

@@ -20,7 +20,7 @@ from prouhet import (
 from prouhet.cli import main
 from prouhet.factorization import coordinate_columns, divide_columns, times_binomial_product
 
-from oracles import dense_product_lhs
+from oracles import dense_product_lhs, identity_side_polynomials
 from randomized import random_cases
 
 # Largest block exponent per base that keeps the ring-generic oracle quick.
@@ -126,10 +126,20 @@ class TestMultiplyBack:
 class TestIdentityColumns:
     @pytest.mark.parametrize("p,n", GRID)
     def test_left_side_matches_dense_product(self, p, n):
-        lhs, rhs = product_identity_sides(p, n - 1)
+        lhs, rhs = identity_side_polynomials(p, n - 1)
         assert_same_poly(lhs, dense_product_lhs(p, n - 1))
         assert all(type(c) is CyclotomicElement for c in lhs.coeffs)
         assert lhs == rhs
+
+    @random_cases
+    def test_columns_are_the_coordinates_of_both_sides(self, rng):
+        p, m = rng.randint(2, 7), rng.randint(0, 3)
+        lhs, rhs = product_identity_sides(p, m)
+        one = CyclotomicElement.one(p)
+        assert lhs == coordinate_columns(dense_product_lhs(p, m).coeffs, one)
+        block = ptm_polynomial(PTMParams.from_degree(p, m), ZeroSumVector.roots_of_unity(p))
+        assert rhs == coordinate_columns(block.coeffs, one)
+        assert [len(column) for column in lhs] == [p ** (m + 1)] * (p - 1)
 
 
 @pytest.mark.parametrize(

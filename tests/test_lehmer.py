@@ -16,11 +16,10 @@ from prouhet import (
     lehmer_verify,
     lehmer_weighted_sum,
     omega_pow,
-    product_identity_sides,
     prouhet_partition,
 )
 
-from oracles import multiset_power_sum, verify_product_identity
+from oracles import identity_side_polynomials, multiset_power_sum, verify_product_identity
 from randomized import random_cases
 
 
@@ -57,6 +56,14 @@ def random_spec(rng):
     if rng.random() < 0.5:
         mu.insert(rng.randint(0, len(mu)), rng.choice(mu))
     return LehmerSpec(p, tuple(mu))
+
+
+def random_weighted_spec(rng):
+    """A random_spec whose weights are not the base powers 1, p, p**2, ..."""
+    while True:
+        spec = random_spec(rng)
+        if spec.mu != tuple(spec.p**j for j in range(len(spec.mu))):
+            return spec
 
 
 class TestLehmerSpec:
@@ -209,6 +216,16 @@ class TestWeightedSum:
         for m in range(len(spec.mu) + 3):
             assert lehmer_weighted_sum(spec, m) == per_tuple_weighted_sum(spec, m)
 
+    @random_cases
+    def test_vanishes_exactly_on_constant_rows(self, rng):
+        # Past degree M the rows need not be constant, so both outcomes occur.
+        spec = random_weighted_spec(rng)
+        rows = itertools.islice(class_power_sums(spec.p, spec.mu), spec.degree + 3)
+        for r, row in enumerate(rows):
+            value = lehmer_weighted_sum(spec, r)
+            assert (not value) == (len(set(row)) == 1), (spec, r)
+            assert list(value.coeffs) == [s - row[-1] for s in row[:-1]], (spec, r)
+
     def test_first_nonvanishing_p3(self):
         # frozen from the nine-tuple enumeration: class sums at m=2 are
         # (41, 41, 29), and 41 + 41w + 29w^2 reduces to 12 + 12w
@@ -225,7 +242,7 @@ class TestProductIdentity:
         assert verify_product_identity(p, m)
 
     def test_p2_reduces_to_alternating_signs(self):
-        lhs, rhs = product_identity_sides(2, 3)
+        lhs, rhs = identity_side_polynomials(2, 3)
         assert lhs == rhs
         plus_one = CyclotomicElement.one(2)
         minus_one = CyclotomicElement(2, (-1,))
@@ -234,11 +251,11 @@ class TestProductIdentity:
         assert list(rhs.coeffs) == expected
 
     def test_p3_single_factor(self):
-        lhs, rhs = product_identity_sides(3, 0)
+        lhs, rhs = identity_side_polynomials(3, 0)
         assert lhs == rhs
         assert lhs.degree == 2
 
     def test_p5_m2_exact(self):
-        lhs, rhs = product_identity_sides(5, 2)
+        lhs, rhs = identity_side_polynomials(5, 2)
         assert lhs.degree == 124
         assert lhs == rhs
