@@ -34,11 +34,10 @@ from .lehmer import (
     lehmer_expand,
     lehmer_verify,
     product_identity_sides,
-    weighted_sum_coordinates,
 )
 from .partition import power_sum_table  # noqa: F401
 from .partition import class_power_sums, prouhet_partition, scan_power_sums, verify_esp
-from .rings import CyclotomicElement
+from .rings import CyclotomicElement, reduce_zero_sum
 from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, ZeroSumVector, ptm_block
 
 EXIT_OK = 0
@@ -178,15 +177,14 @@ def _cmd_identities(args):
         }
     spec = LehmerSpec.base_powers(args.p, args.m, args.budget)
     # A weighted sum vanishes exactly when its class power-sum row is
-    # constant (weighted_sum_coordinates), so one scan of the rows decides
-    # every degree at once.
+    # constant (reduce_zero_sum), so one scan of the rows decides every
+    # degree at once.
     report = scan_power_sums(class_power_sums(spec.p, spec.mu), args.m)
     first_nonvanishing = None
     if report.first_violation is not None:
-        coordinates = weighted_sum_coordinates(report.power_sums[-1])
         first_nonvanishing = {
             "m": report.first_violation[0],
-            "value": [str(c) for c in coordinates],
+            "value": [str(c) for c in reduce_zero_sum(report.power_sums[-1])],
         }
     identity_ok = first_mismatch is None
     vanish_ok = first_nonvanishing is None

@@ -25,6 +25,8 @@ from __future__ import annotations
 import itertools
 import operator
 
+from .rings import power_name, signed_terms
+
 # ptm_term stays importable from here: perfbench/spans.py wraps it by this name.
 from .sequence import ZeroSumVector, ptm_block, ptm_term  # noqa: F401
 
@@ -173,27 +175,7 @@ class DensePolynomial:
         return f"DensePolynomial({self.coeffs!r})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            power = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if isinstance(c, int):
-                sign = "-" if c < 0 else "+"
-                mag = abs(c)
-                body = power if (mag == 1 and power) else f"{mag}{power}"
-            else:
-                sign = "+"
-                text = str(c)
-                body = f"({text}){power}" if power else f"({text})"
-            pieces.append((sign, body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_terms((c, power_name("x", i)) for i, c in enumerate(self.coeffs))
 
 
 def coordinate_columns(values, sample):

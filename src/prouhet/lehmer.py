@@ -22,7 +22,7 @@ from dataclasses import dataclass
 # ptm_polynomial stays importable from here: perfbench/spans.py wraps it by this name.
 from .factorization import ptm_polynomial  # noqa: F401
 from .partition import class_power_sums, scan_power_sums
-from .rings import CyclotomicElement, check_base
+from .rings import CyclotomicElement, check_base, reduce_zero_sum, symbol_coordinates
 from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, power_exceeds, ptm_block
 
 
@@ -135,33 +135,17 @@ def lehmer_verify(spec):
     return scan_power_sums(rows, spec.degree)
 
 
-def weighted_sum_coordinates(row):
-    """Coordinates of S_0 + S_1*w + ... + S_{p-1}*w^{p-1}, S_k = row[k], on
-    the basis 1, w, ..., w^{p-2}.
-
-    In Z[w]/(1 + w + ... + w^{p-1}) the top power is
-    w^{p-1} = -(1 + w + ... + w^{p-2}), so
-    sum_{k<p} S_k * w^k = sum_{k<p-1} (S_k - S_{p-1}) * w^k.
-    The powers 1, ..., w^{p-2} are a basis, so the sum is zero exactly when
-    every S_k equals S_{p-1}.  With S_k the class power sums S_k(r) of a
-    spec, the sum is lehmer_weighted_sum(spec, r): it vanishes exactly when
-    row r of class_power_sums is constant.
-    """
-    last = row[-1]
-    return [s - last for s in row[:-1]]
-
-
 def lehmer_weighted_sum(spec, exponent):
     """The exact cyclotomic value sum_tuples w^{digit sum} * value**m.
 
-    The class power sums come from class_power_sums, without listing any
-    tuple, and are read through weighted_sum_coordinates, O(p) additions.
-    Zero for every m <= M.
+    It is sum_k S_k * w^k over row m of class_power_sums, read without
+    listing any tuple; reduce_zero_sum gives its coordinates and shows that
+    it is zero exactly when the row is constant, as for every m <= M.
     """
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent!r}")
     sums = next(itertools.islice(class_power_sums(spec.p, spec.mu), exponent, None))
-    return CyclotomicElement(spec.p, weighted_sum_coordinates(sums))
+    return CyclotomicElement(spec.p, reduce_zero_sum(sums))
 
 
 def product_identity_sides(p, degree, budget=DEFAULT_BUDGET):
@@ -178,15 +162,17 @@ def product_identity_sides(p, degree, budget=DEFAULT_BUDGET):
     r-th holding the coefficients of w^r: a factor adds column r, moved up by
     j*p^m, to column (r + j) mod p.  The columns are reduced to the quotient
     ring once, at the end, by w^{p-1} = -(1 + w + ... + w^{p-2}).  The right
-    side reads one ptm_block through the coordinates of w^t: the unit vector
-    e_t for t < p - 1, and all -1 for t = p - 1.  The sides are equal exactly
-    when their columns are; polynomial_from_columns turns either into a
-    polynomial over the cyclotomic ring.
+    side reads one ptm_block through the coordinates of each w^t
+    (symbol_coordinates).  The sides are equal exactly when their columns
+    are; polynomial_from_columns turns either into a polynomial over the
+    cyclotomic ring.
     """
     params = PTMParams.from_degree(p, degree, budget)
     lhs = _product_columns(p, degree)
     labels = ptm_block(params)
-    coordinates = [[(t == r) - (t == p - 1) for t in range(p)] for r in range(p - 1)]
+    # Row r holds coordinate r of w^0, ..., w^{p-1}, as a list because
+    # list.__getitem__ is a faster lookup than tuple.__getitem__.
+    coordinates = [list(row) for row in zip(*[symbol_coordinates(p, t) for t in range(p)])]
     rhs = [list(map(row.__getitem__, labels)) for row in coordinates]
     return lhs, rhs
 
@@ -204,4 +190,6 @@ def _product_columns(p, degree):
                 end = start + len(column)
                 out[start:end] = map(operator.add, out[start:end], column)
         columns = grown
+    # reduce_zero_sum on every row at once: column p - 1 holds the
+    # coefficients of w^{p-1}, subtracted from the others.
     return [list(map(operator.sub, column, columns[-1])) for column in columns[:-1]]

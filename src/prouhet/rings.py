@@ -1,20 +1,24 @@
 """Exact coefficient rings for the polynomial machinery.
 
 Integer coefficients are plain Python ints (arbitrary precision, so nothing
-here ever overflows or rounds).  Two structured rings sit on top of them:
+here ever overflows or rounds).  Both structured rings are integer
+combinations of p symbols s_0, ..., s_{p-1} whose one relation is
+s_0 + ... + s_{p-1} = 0, stored as the p - 1 coordinates over s_0, ..., s_{p-2}
+left once that relation eliminates s_{p-1} (reduce_zero_sum); equal elements
+have equal coordinates.  ZeroSumCoordinates holds this form and its module
+arithmetic for both:
 
-* ``CyclotomicElement`` — the quotient ring Z[w]/(1 + w + ... + w^{p-1}),
-  housing a p-th root of unity w.  Only the relation "all p-th roots of
-  unity sum to zero" is built in, so p may be any integer >= 2, prime or not.
-* ``ZeroSumForm`` — integer-linear forms in symbols a_0, ..., a_{p-1}
-  constrained by a_0 + ... + a_{p-1} = 0, canonicalized by eliminating
-  a_{p-1}.  Equality of forms is decidable by comparing coefficient vectors.
+* ``CyclotomicElement`` — Z[w]/(1 + w + ... + w^{p-1}), s_k = w^k for a p-th
+  root of unity w; any p >= 2, prime or not.  Every int n is n * w^0.
+* ``ZeroSumForm`` — integer-linear forms in symbols s_k = a_k that sum to
+  zero.  The only int among them is 0; products of symbols are not defined.
 
-All elements are immutable values; every operation returns a new element.
-Pure functions throughout, safe to share across threads.
+All elements are immutable values, safe to share across threads.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 def check_base(p):
@@ -23,19 +27,47 @@ def check_base(p):
         raise ValueError(f"base p must be an integer >= 2, got {p!r}")
 
 
-def _signed_terms(pairs):
-    """Render (coefficient, symbol) pairs as a signed sum, '0' if empty."""
+def reduce_zero_sum(values):
+    """Coordinates on s_0, ..., s_{p-2} of sum_k values[k] * s_k, for p
+    symbols that sum to zero.
+
+    Eliminating s_{p-1} = -(s_0 + ... + s_{p-2}) gives
+    sum_{k<p} v_k * s_k = sum_{k<p-1} (v_k - v_{p-1}) * s_k, and s_0, ...,
+    s_{p-2} are a basis (for s_k = w^k, the powers 1, ..., w^{p-2}), so the
+    sum is zero exactly when every v_k equals v_{p-1}.  In particular a
+    weighted sum sum_k S_k(r) * w^k of class power sums vanishes exactly
+    when row r is constant.
+    """
+    last = values[-1]
+    return [v - last for v in values[:-1]]
+
+
+def symbol_coordinates(p, k):
+    """Coordinates of the symbol s_k, 0 <= k < p: reduce_zero_sum of the unit
+    vector e_k, so e_k itself for k < p - 1 and all -1 for k = p - 1."""
+    values = [0] * p
+    values[k] = 1
+    return reduce_zero_sum(values)
+
+
+def power_name(var, i):
+    """The monomial var^i as text: '' for i = 0, var for i = 1."""
+    return "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+
+
+def signed_terms(pairs):
+    """Render (coefficient, symbol) pairs as a signed sum, '0' if empty.  An
+    int coefficient shows its sign; a ring element is added in parentheses."""
     pieces = []
     for coef, sym in pairs:
         if not coef:
             continue
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        if sym:
-            body = sym if mag == 1 else f"{mag}{sym}"
+        if isinstance(coef, int):
+            mag = abs(coef)
+            body = sym if mag == 1 and sym else f"{mag}{sym}"
+            pieces.append(("-" if coef < 0 else "+", body))
         else:
-            body = str(mag)
-        pieces.append((sign, body))
+            pieces.append(("+", f"({coef}){sym}"))
     if not pieces:
         return "0"
     sign, body = pieces[0]
@@ -45,12 +77,12 @@ def _signed_terms(pairs):
     return out
 
 
-class CyclotomicElement:
-    """Element of Z[w]/(1 + w + ... + w^{p-1}) in canonical form.
+class ZeroSumCoordinates:
+    """An integer combination of p zero-sum symbols, as p - 1 coordinates.
 
-    Stored as the representative of degree <= p-2 in w.  The defining
-    relation collapses high powers: w^{p-1} = -(1 + w + ... + w^{p-2}) and
-    consequently w^p = 1.
+    Elements of one subclass and one p add and scale coordinate-wise; those
+    of different subclasses never mix or compare equal.  A subclass says
+    which ints it holds (_int_coeffs) and how two elements multiply (_times).
     """
 
     __slots__ = ("p", "coeffs")
@@ -70,68 +102,113 @@ class CyclotomicElement:
         return cls(p, (0,) * (p - 1))
 
     @classmethod
+    def basis(cls, p, k):
+        """The k-th symbol s_k, 0 <= k <= p-1; s_{p-1} = -(s_0 + ... + s_{p-2})."""
+        check_base(p)
+        if not 0 <= k <= p - 1:
+            raise IndexError(f"symbol index {k} out of range for base {p}")
+        return cls(p, symbol_coordinates(p, k))
+
+    def _coerce(self, other):
+        """other's coordinates in this ring; None for a type it does not take."""
+        if isinstance(other, type(self)):
+            if other.p != self.p:
+                raise ValueError(f"mismatched bases: {self.p} vs {other.p}")
+            return other.coeffs
+        if isinstance(other, int):
+            coeffs = self._int_coeffs(self.p, other)
+            if coeffs is None:
+                raise TypeError(f"{type(self).__name__} holds no integer {other}")
+            return coeffs
+        return None
+
+    def __add__(self, other):
+        coeffs = self._coerce(other)
+        if coeffs is None:
+            return NotImplemented
+        return type(self)(self.p, map(operator.add, self.coeffs, coeffs))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.p, map(operator.neg, self.coeffs))
+
+    def __sub__(self, other):
+        coeffs = self._coerce(other)
+        if coeffs is None:
+            return NotImplemented
+        return type(self)(self.p, map(operator.sub, self.coeffs, coeffs))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        """Scaling by an int; a product of two elements is the subclass's _times."""
+        if isinstance(other, int):
+            return type(self)(self.p, [other * a for a in self.coeffs])
+        if isinstance(other, type(self)):
+            return self._times(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.p == other.p and self.coeffs == other.coeffs
+        if isinstance(other, int):
+            return self.coeffs == self._int_coeffs(self.p, other)
+        return NotImplemented
+
+    def __hash__(self):
+        # An element equal to an int n has coordinates (n, 0, ..., 0): hash as n.
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash((self.p, self.coeffs))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.p}, {self.coeffs!r})"
+
+
+class CyclotomicElement(ZeroSumCoordinates):
+    """Element of Z[w]/(1 + w + ... + w^{p-1}), as its representative of
+    degree <= p-2 in w: w^p = 1 and w^{p-1} = -(1 + w + ... + w^{p-2})."""
+
+    __slots__ = ()
+
+    # perfbench/spans.py wraps these three in this class's own dict.
+    __init__ = ZeroSumCoordinates.__init__
+    __mul__ = __rmul__ = ZeroSumCoordinates.__mul__
+
+    @classmethod
     def one(cls, p):
         return cls.from_int(p, 1)
 
     @classmethod
     def from_int(cls, p, value):
         """The image of an ordinary integer under Z -> Z[w]."""
-        return cls(p, (value,) + (0,) * (p - 2))
+        return cls(p, cls._int_coeffs(p, value))
 
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return CyclotomicElement.from_int(self.p, other)
-        if isinstance(other, CyclotomicElement):
-            if other.p != self.p:
-                raise ValueError(f"mismatched bases: {self.p} vs {other.p}")
-            return other
-        return None
+    @staticmethod
+    def _int_coeffs(p, value):  # every int n is n * w^0
+        return (value,) + (0,) * (p - 2)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicElement(
-            self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicElement(self.p, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicElement(
-            self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicElement(self.p, tuple(other * a for a in self.coeffs))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        p = self.p
+    def _times(self, other):
         # Convolve, fold exponents modulo p (w^p = 1), then eliminate the
-        # single possible w^{p-1} term via w^{p-1} = -(1 + w + ... + w^{p-2}).
+        # single possible w^{p-1} term.
+        coeffs = self._coerce(other)
+        p = self.p
         folded = [0] * p
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(coeffs):
                 if not b:
                     continue
                 folded[(i + j) % p] += a * b
-        top = folded[p - 1]
-        return CyclotomicElement(p, tuple(folded[i] - top for i in range(p - 1)))
-
-    __rmul__ = __mul__
+        return CyclotomicElement(p, reduce_zero_sum(folded))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -145,129 +222,34 @@ class CyclotomicElement:
             exponent >>= 1
         return result
 
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicElement.from_int(self.p, other)
-        elif not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((CyclotomicElement, self.p, self.coeffs))
-
-    def __repr__(self):
-        return f"CyclotomicElement({self.p}, {self.coeffs!r})"
-
     def __str__(self):
-        return _signed_terms(
-            (c, "" if i == 0 else ("w" if i == 1 else f"w^{i}"))
-            for i, c in enumerate(self.coeffs)
-        )
+        return signed_terms((c, power_name("w", i)) for i, c in enumerate(self.coeffs))
 
 
 def omega_pow(p, k):
     """w^k in canonical form; k may be any integer (reduced mod p)."""
     check_base(p)
-    k %= p
-    if k == p - 1:
-        return CyclotomicElement(p, (-1,) * (p - 1))
-    return CyclotomicElement(p, tuple(1 if i == k else 0 for i in range(p - 1)))
+    return CyclotomicElement.basis(p, k % p)
 
 
-class ZeroSumForm:
-    """Integer-linear form in symbols a_0, ..., a_{p-1} that sum to zero.
+class ZeroSumForm(ZeroSumCoordinates):
+    """Integer-linear form in symbols a_0, ..., a_{p-1} that sum to zero, as
+    its coefficients on a_0, ..., a_{p-2}; a_{p-1} = -(a_0 + ... + a_{p-2})."""
 
-    Canonical representation: the coefficient vector over a_0, ..., a_{p-2}
-    after substituting a_{p-1} = -(a_0 + ... + a_{p-2}).  Two forms are equal
-    exactly when their vectors match.  Forms are linear: addition and integer
-    scaling are closed, products of symbols are not defined.
-    """
+    __slots__ = ()
 
-    __slots__ = ("p", "coeffs")
+    # perfbench/spans.py wraps __init__ in this class's own dict.
+    __init__ = ZeroSumCoordinates.__init__
 
-    def __init__(self, p, coeffs):
-        check_base(p)
-        coeffs = tuple(coeffs)
-        if len(coeffs) != p - 1:
-            raise ValueError(
-                f"expected {p - 1} coefficients for base {p}, got {len(coeffs)}"
-            )
-        self.p = p
-        self.coeffs = coeffs
+    # The form a_index; taken from the class dict so that cls is ZeroSumForm.
+    generator = vars(ZeroSumCoordinates)["basis"]
 
-    @classmethod
-    def zero(cls, p):
-        return cls(p, (0,) * (p - 1))
+    @staticmethod
+    def _int_coeffs(p, value):  # the only int in the span of the symbols is 0
+        return None if value else (0,) * (p - 1)
 
-    @classmethod
-    def generator(cls, p, index):
-        """The form a_index; for index = p-1 this is -(a_0 + ... + a_{p-2})."""
-        check_base(p)
-        if not 0 <= index <= p - 1:
-            raise IndexError(f"symbol index {index} out of range for base {p}")
-        if index == p - 1:
-            return cls(p, (-1,) * (p - 1))
-        return cls(p, tuple(1 if i == index else 0 for i in range(p - 1)))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return self
-            raise TypeError("cannot add a nonzero integer to a zero-sum form")
-        if not isinstance(other, ZeroSumForm):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError(f"mismatched bases: {self.p} vs {other.p}")
-        return ZeroSumForm(
-            self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZeroSumForm(self.p, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self
-        if not isinstance(other, ZeroSumForm):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError(f"mismatched bases: {self.p} vs {other.p}")
-        return ZeroSumForm(
-            self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ZeroSumForm(self.p, tuple(other * a for a in self.coeffs))
-        if isinstance(other, ZeroSumForm):
-            raise TypeError(
-                "zero-sum forms are linear; products of symbols are not defined"
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            # The only integer in the span of the symbols is zero.
-            return other == 0 and not any(self.coeffs)
-        if not isinstance(other, ZeroSumForm):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((ZeroSumForm, self.p, self.coeffs))
+    def _times(self, other):
+        raise TypeError("zero-sum forms are linear; products of symbols are not defined")
 
     def specialize(self, values):
         """Evaluate at a concrete length-p assignment whose entries sum to zero."""
@@ -282,8 +264,5 @@ class ZeroSumForm:
             acc = acc + c * v
         return acc
 
-    def __repr__(self):
-        return f"ZeroSumForm({self.p}, {self.coeffs!r})"
-
     def __str__(self):
-        return _signed_terms((c, f"a{i}") for i, c in enumerate(self.coeffs))
+        return signed_terms((c, f"a{i}") for i, c in enumerate(self.coeffs))

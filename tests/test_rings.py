@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from prouhet import CyclotomicElement, ZeroSumForm, omega_pow
+from prouhet import CyclotomicElement, DensePolynomial, ZeroSumForm, omega_pow
 
 
 def naive_reduce(p, coeffs):
@@ -111,6 +111,7 @@ class TestCyclotomic:
         x = CyclotomicElement(3, (2, -1))
         assert x + 1 == CyclotomicElement(3, (3, -1))
         assert 2 * x == CyclotomicElement(3, (4, -2))
+        assert 1 - x == CyclotomicElement(3, (-1, 1))
         assert CyclotomicElement.from_int(3, 5) == 5
 
     def test_pow(self):
@@ -171,9 +172,13 @@ class TestZeroSumForm:
             f * f
 
     def test_nonzero_integer_addition_rejected(self):
+        a0, a1, a2 = (ZeroSumForm.generator(3, i) for i in range(3))
         with pytest.raises(TypeError):
-            ZeroSumForm.generator(3, 0) + 1
-        assert ZeroSumForm.generator(3, 0) + 0 == ZeroSumForm.generator(3, 0)
+            a0 + 1
+        with pytest.raises(TypeError):
+            1 - a0
+        assert a0 + 0 == a0
+        assert 0 - a0 == a1 + a2
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_specialize_commutes_with_module_ops(self, p):
@@ -198,8 +203,57 @@ class TestZeroSumForm:
         assert ZeroSumForm.zero(5) == 0
         assert ZeroSumForm.generator(5, 1) != 0
         assert ZeroSumForm.generator(5, 1) != 1
+        # a0 has the coordinates a cyclotomic 1 has, but is no integer.
+        assert ZeroSumForm.generator(2, 0) != 1
+        assert ZeroSumForm(3, (1, 0)) != 1
 
     def test_str(self):
         assert str(ZeroSumForm(3, (1, 1))) == "a0 + a1"
         assert str(ZeroSumForm(3, (-2, 1))) == "-2a0 + a1"
         assert str(ZeroSumForm.zero(3)) == "0"
+
+
+class TestSharedCoordinates:
+    """What the two rings share (storage, module arithmetic, equality,
+    hashing, repr) and what they must keep apart."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_rings_do_not_mix(self, p):
+        coeffs = (1,) + (0,) * (p - 2)
+        one, a0 = CyclotomicElement(p, coeffs), ZeroSumForm(p, coeffs)
+        for x, y in ((one, a0), (a0, one)):
+            for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+                with pytest.raises(TypeError):
+                    op()
+            assert x != y
+            assert not x == y
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (CyclotomicElement.from_int(3, 5), 5),
+            (CyclotomicElement(2, (-4,)), -4),
+            (ZeroSumForm.zero(3), 0),
+            (
+                DensePolynomial((0, ZeroSumForm.generator(3, 1))),
+                DensePolynomial((ZeroSumForm.zero(3), ZeroSumForm.generator(3, 1))),
+            ),
+        ],
+    )
+    def test_equal_values_hash_equal(self, a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_repr_names_the_class(self):
+        assert repr(CyclotomicElement(3, (1, -2))) == "CyclotomicElement(3, (1, -2))"
+        assert repr(ZeroSumForm(3, (1, -2))) == "ZeroSumForm(3, (1, -2))"
+
+    @pytest.mark.parametrize("ring", [CyclotomicElement, ZeroSumForm])
+    @pytest.mark.parametrize("p", range(2, 6))
+    def test_basis_is_the_unit_vector_or_minus_the_rest(self, ring, p):
+        for k in range(p - 1):
+            assert ring.basis(p, k).coeffs == tuple(int(i == k) for i in range(p - 1))
+        assert ring.basis(p, p - 1).coeffs == (-1,) * (p - 1)
+        assert type(ring.basis(p, 0)) is ring
+        assert type(ZeroSumForm.generator(p, 0)) is ZeroSumForm
