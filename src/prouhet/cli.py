@@ -16,15 +16,20 @@ import json
 import sys
 import time
 
+# binomial_product, cofactor_by_division, cofactor_recursive and ptm_polynomial
+# stay importable from here: perfbench/spans.py wraps them by these names.
+from .factorization import binomial_product, cofactor_by_division  # noqa: F401
+from .factorization import cofactor_recursive, ptm_polynomial  # noqa: F401
 from .factorization import (
     NotDivisibleError,
-    binomial_product,
-    cofactor_by_division,
-    cofactor_recursive,
+    block_columns,
+    division_columns,
     first_coefficient_mismatch,
     polynomial_from_columns,
-    ptm_polynomial,
-    times_binomial_product,
+    recursive_column,
+    strip_zero_rows,
+    times_binomial_columns,
+    vector_columns,
 )
 # lehmer_weighted_sum and power_sum_table stay importable from here:
 # perfbench/spans.py wraps them by these names.
@@ -52,8 +57,10 @@ def _coeff_payload(c):
     return [str(v) for v in c.coeffs]
 
 
-def _poly_payload(poly):
-    return [_coeff_payload(c) for c in poly.coeffs]
+def _columns_payload(columns, ring):
+    """A polynomial's payload, one str() pass per column; over a ring, a row per coefficient."""
+    texts = [list(map(str, column)) for column in columns]
+    return list(zip(*texts)) if ring else texts[0]
 
 
 def _parse_int_list(text, what):
@@ -103,29 +110,31 @@ def _cmd_partition(args):
 
 def _cmd_factor(args):
     params = PTMParams(args.p, args.n, args.budget)
+    mode = "symbolic" if args.symbolic else "integer"
     if args.symbolic:
         vector = ZeroSumVector.symbolic(args.p)
-        mode = "symbolic"
     else:
         values = _parse_int_list(args.coeffs, "--coeffs")
         if len(values) != args.p:
             raise ValueError(f"expected {args.p} coefficients, got {len(values)}")
         vector = ZeroSumVector(values)
-        mode = "integer"
-    block_poly = ptm_polynomial(params, vector)
-    divisor = binomial_product(params)
-    cofactor = cofactor_by_division(params, vector)
-    recursive = cofactor_recursive(params, vector)
-    product_check = times_binomial_product(params, cofactor) == block_poly
+    labels = ptm_block(params)
+    columns = vector_columns(params, vector)
+    full_block = block_columns(labels, columns)
+    cofactor = strip_zero_rows(division_columns(params, full_block, vector[0]))
+    block = strip_zero_rows(full_block)
+    recursive = strip_zero_rows([recursive_column(params.n, c) for c in columns])
+    product_check = times_binomial_columns(params, cofactor) == block
     agree = cofactor == recursive
+    vector_payload = [_coeff_payload(v) for v in vector]
     result = {
         "p": args.p,
         "n": args.n,
         "mode": mode,
-        "vector": [_coeff_payload(v) for v in vector],
-        "ptm_poly": _poly_payload(block_poly),
-        "divisor": _poly_payload(divisor),
-        "cofactor": _poly_payload(cofactor),
+        "vector": vector_payload,
+        "ptm_poly": list(map(vector_payload.__getitem__, labels[: len(block[0])])),
+        "divisor": _columns_payload(times_binomial_columns(params, [[1]]), False),
+        "cofactor": _columns_payload(cofactor, args.symbolic),
         "product_check": product_check,
         "constructions_agree": agree,
     }
@@ -236,7 +245,8 @@ def _violation_line(csv, violation, checked_through=None):
 def _render_ptm(result, csv):
     if csv:
         return ["n,value"] + [f"{i},{v}" for i, v in enumerate(result["sequence"])]
-    return [",".join(str(v) for v in result["sequence"])]
+    texts = [str(t) for t in range(result["p"])]
+    return [",".join(map(texts.__getitem__, result["sequence"]))]
 
 
 def _render_partition(result, csv):
@@ -336,19 +346,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ptm = sub.add_parser(
-        "ptm", parents=[common], help="digit-sum residue sequence block"
-    )
-    ptm.add_argument("--p", type=int, required=True, help="base, >= 2")
-    ptm.add_argument("--n", type=int, required=True, help="block exponent, >= 1")
-    ptm.set_defaults(handler=_cmd_ptm)
+    def command(name, handler, help):
+        """A subcommand taking the common options and the base --p."""
+        cmd = sub.add_parser(name, parents=[common], help=help)
+        cmd.add_argument("--p", type=int, required=True, help="base, >= 2")
+        cmd.set_defaults(handler=handler)
+        return cmd
 
-    part = sub.add_parser(
-        "partition",
-        parents=[common],
-        help="digit-sum partition with power-sum table and verification",
+    ptm = command("ptm", _cmd_ptm, "digit-sum residue sequence block")
+    ptm.add_argument("--n", type=int, required=True, help="block exponent, >= 1")
+
+    part = command(
+        "partition", _cmd_partition, "digit-sum partition with power-sum table and verification"
     )
-    part.add_argument("--p", type=int, required=True, help="base, >= 2")
     part.add_argument("--m", type=int, required=True, help="guaranteed agreement degree, >= 0")
     part.add_argument(
         "--check-beyond",
@@ -357,14 +367,10 @@ def build_parser():
         dest="check_beyond",
         help="also report power-sum status up to this degree",
     )
-    part.set_defaults(handler=_cmd_partition)
 
-    factor = sub.add_parser(
-        "factor",
-        parents=[common],
-        help="factor the block polynomial into cofactor times binomial product",
+    factor = command(
+        "factor", _cmd_factor, "factor the block polynomial into cofactor times binomial product"
     )
-    factor.add_argument("--p", type=int, required=True, help="base, >= 2")
     factor.add_argument("--n", type=int, required=True, help="block exponent, >= 1")
     group = factor.add_mutually_exclusive_group(required=True)
     group.add_argument(
@@ -373,27 +379,17 @@ def build_parser():
     group.add_argument(
         "--symbolic", action="store_true", help="use the generic symbolic vector"
     )
-    factor.set_defaults(handler=_cmd_factor)
 
-    lehmer = sub.add_parser(
-        "lehmer",
-        parents=[common],
-        help="weighted multiset classes with power-sum verification",
+    lehmer = command(
+        "lehmer", _cmd_lehmer, "weighted multiset classes with power-sum verification"
     )
-    lehmer.add_argument("--p", type=int, required=True, help="base, >= 2")
-    lehmer.add_argument(
-        "--mu", required=True, help="comma-separated positive integer weights"
-    )
-    lehmer.set_defaults(handler=_cmd_lehmer)
+    lehmer.add_argument("--mu", required=True, help="comma-separated positive integer weights")
 
-    identities = sub.add_parser(
-        "identities",
-        parents=[common],
-        help="root-of-unity product identity and weighted-sum vanishing checks",
+    identities = command(
+        "identities", _cmd_identities,
+        "root-of-unity product identity and weighted-sum vanishing checks",
     )
-    identities.add_argument("--p", type=int, required=True, help="base, >= 2")
     identities.add_argument("--m", type=int, required=True, help="top degree, >= 0")
-    identities.set_defaults(handler=_cmd_identities)
 
     return parser
 

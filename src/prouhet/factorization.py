@@ -28,7 +28,7 @@ import operator
 from .rings import power_name, signed_terms
 
 # ptm_term stays importable from here: perfbench/spans.py wraps it by this name.
-from .sequence import ZeroSumVector, ptm_block, ptm_term  # noqa: F401
+from .sequence import ptm_block, ptm_term  # noqa: F401
 
 
 class NotDivisibleError(ArithmeticError):
@@ -224,35 +224,53 @@ def first_coefficient_mismatch(lhs, rhs):
     return None
 
 
+def block_columns(labels, columns):
+    """The block polynomial's coordinate columns: entry i of each is its entry at label t(i)."""
+    return [list(map(column.__getitem__, labels)) for column in columns]
+
+
+def strip_zero_rows(columns):
+    """Columns without their trailing all-zero rows: DensePolynomial's canonical length."""
+    length = len(columns[0])
+    while length and not any(column[length - 1] for column in columns):
+        length -= 1
+    return [column[:length] for column in columns]
+
+
 def ptm_polynomial(params, vector):
     """Polynomial of degree < p**n whose x^i coefficient is vector[t(i)],
     t the digit-sum residue mod p."""
-    p = params.p
-    if len(vector) != p:
-        raise ValueError(f"vector length {len(vector)} does not match base {p}")
-    return DensePolynomial(vector[t] for t in ptm_block(params))
+    columns = vector_columns(params, vector)
+    return polynomial_from_columns(block_columns(ptm_block(params), columns), vector[0])
 
 
 def binomial_product(params):
     """The divisor: product of (1 - x^{p^m}) for m = 0..n-1, built by
     shift-and-subtract.  Vanishes at x = 1 to order exactly n."""
-    return times_binomial_product(params, DensePolynomial([1]))
+    return polynomial_from_columns(times_binomial_columns(params, [[1]]), 1)
 
 
 def times_binomial_product(params, poly):
-    """poly * (1 - x)(1 - x^p)...(1 - x^{p^{n-1}}), multiplied back one
-    binomial at a time by shift and subtract on each coordinate column:
-    O(n * p**n) integer operations per column for a cofactor."""
+    """poly * (1 - x)(1 - x^p)...(1 - x^{p^{n-1}}) over poly's ring."""
     if not poly:
         return poly
     sample = poly.coeffs[-1]
     columns = coordinate_columns(poly.coeffs, sample)
+    return polynomial_from_columns(times_binomial_columns(params, columns), sample)
+
+
+def times_binomial_columns(params, columns):
+    """Coordinate columns multiplied back by each binomial 1 - x^{p^m} in
+    turn, by shift and subtract: O(n * p**n) integer operations per column
+    for a cofactor.  Empty (zero) columns stay empty."""
+    if not columns[0]:
+        return columns
     for m in range(params.n):
         d = params.p**m
         columns = [column + [0] * d for column in columns]
         for column in columns:
             column[d:] = map(operator.sub, column[d:], column[:-d])
-    return polynomial_from_columns(columns, sample)
+    return columns
 
 
 def cofactor_support_indices(params):
@@ -268,7 +286,7 @@ def cofactor_support_indices(params):
     return tuple(indices)
 
 
-def _vector_columns(params, vector):
+def vector_columns(params, vector):
     """The coordinate columns of a length-p vector, p ints each."""
     if len(vector) != params.p:
         raise ValueError(f"vector length {len(vector)} does not match base {params.p}")
@@ -276,42 +294,48 @@ def _vector_columns(params, vector):
 
 
 def cofactor_recursive(params, vector):
-    """Cofactor built directly, without division, on each coordinate column
+    """Cofactor built directly, without division, from each coordinate column
     of the vector; every column is itself a zero-sum integer vector."""
-    columns = [
-        _recursive_column(params.n, ZeroSumVector(c)) for c in _vector_columns(params, vector)
-    ]
+    columns = [recursive_column(params.n, c) for c in vector_columns(params, vector)]
     return polynomial_from_columns(columns, vector[0])
 
 
-def _recursive_column(n, vector):
-    """Level-n cofactor of a zero-sum integer vector, trailing zeros kept.
+def recursive_column(n, vector):
+    """Level-n cofactor of a zero-sum list of ints, trailing zeros kept.
 
     Base case: coefficients are the prefix sums of the vector (the last one
     equals minus the final entry, which is what makes the base identity
     close).  Step: place the level-(n-1) cofactors of the prefix-shift-sum
-    vectors B_k at offsets k * p**(n-1).
+    vectors B_k (ZeroSumVector.prefix_shift_sums) at offsets k * p**(n-1).
     """
     if n == 1:
         return list(itertools.accumulate(vector[:-1]))
-    stride = vector.p ** (n - 1)
+    p = len(vector)
+    stride = p ** (n - 1)
     out = []
-    for k, prefix in enumerate(vector.prefix_shift_sums()):
-        out += [0] * (k * stride - len(out)) + _recursive_column(n - 1, prefix)
+    prefix = vector
+    for k in range(p - 1):
+        if k:
+            prefix = list(map(operator.add, prefix, vector[k:] + vector[:k]))
+        out += [0] * (k * stride - len(out)) + recursive_column(n - 1, prefix)
     return out
 
 
 def cofactor_by_division(params, vector):
     """Cofactor obtained by dividing the block polynomial by each binomial
-    (1 - x^{p^m}) in turn, on each coordinate column of the vector: O(n * p**n)
-    integer additions per column.  Every step is an exact division; a nonzero
-    remainder raises NotDivisibleError and means a bug, since zero-sum
-    vectors always divide out cleanly."""
-    labels = ptm_block(params)
-    columns = [list(map(c.__getitem__, labels)) for c in _vector_columns(params, vector)]
-    for m in range(params.n):
-        columns = divide_columns(columns, params.p**m, vector[0])
-    return polynomial_from_columns(columns, vector[0])
+    (1 - x^{p^m}) in turn; see division_columns."""
+    columns = block_columns(ptm_block(params), vector_columns(params, vector))
+    return polynomial_from_columns(division_columns(params, columns, vector[0]), vector[0])
+
+
+def division_columns(params, columns, sample):
+    """Block columns divided by each binomial (1 - x^{p^m}) in turn, largest
+    first so the columns shrink fastest: at most O(n * p**n) additions per
+    column, O(p**n) for p = 2.  A nonzero remainder raises NotDivisibleError
+    and means a bug, since zero-sum vectors always divide out cleanly."""
+    for m in reversed(range(params.n)):
+        columns = divide_columns(columns, params.p**m, sample)
+    return columns
 
 
 def divide_columns(columns, d, sample):

@@ -19,6 +19,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
+from .factorization import block_columns
 # ptm_polynomial stays importable from here: perfbench/spans.py wraps it by this name.
 from .factorization import ptm_polynomial  # noqa: F401
 from .partition import class_power_sums, scan_power_sums
@@ -173,8 +174,7 @@ def product_identity_sides(p, degree, budget=DEFAULT_BUDGET):
     # Row r holds coordinate r of w^0, ..., w^{p-1}, as a list because
     # list.__getitem__ is a faster lookup than tuple.__getitem__.
     coordinates = [list(row) for row in zip(*[symbol_coordinates(p, t) for t in range(p)])]
-    rhs = [list(map(row.__getitem__, labels)) for row in coordinates]
-    return lhs, rhs
+    return lhs, block_columns(labels, coordinates)
 
 
 def _product_columns(p, degree):

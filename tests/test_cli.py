@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import prouhet.cli
+import prouhet.factorization
 import prouhet.lehmer
 import prouhet.partition
 from prouhet import (
@@ -15,6 +16,7 @@ from prouhet import (
     DensePolynomial,
     LehmerSpec,
     NotDivisibleError,
+    ZeroSumForm,
     class_power_sums,
     lehmer_weighted_sum,
     product_identity_sides,
@@ -202,11 +204,44 @@ class TestFactorCommand:
         code = main(["factor", "--p", "2", "--n", "2", "--coeffs", "1,x"])
         assert code == 2
 
+    @pytest.mark.parametrize("vector", [["--symbolic"], ["--coeffs", "4,-7,3"]])
+    def test_builds_the_label_block_once(self, capsys, monkeypatch, vector):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return ptm_block(params)
+
+        for module in (prouhet.cli, prouhet.factorization):
+            monkeypatch.setattr(module, "ptm_block", counted)
+        code, envelope = run_json(capsys, ["factor", "--p", "3", "--n", "3", *vector])
+        assert code == 0
+        assert len(calls) == 1
+        assert envelope["result"]["product_check"] is True
+        assert envelope["result"]["constructions_agree"] is True
+
+    def test_symbolic_ring_elements_do_not_grow_with_the_block(self, capsys, monkeypatch):
+        created = []
+        init = ZeroSumForm.__init__
+
+        def counted(self, *args):
+            created.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ZeroSumForm, "__init__", counted)
+        counts = []
+        for n in (1, 4):
+            created.clear()
+            assert main(["factor", "--p", "3", "--n", str(n), "--symbolic"]) == 0
+            counts.append(len(created))
+        capsys.readouterr()
+        assert counts[0] == counts[1]
+
     def test_inexact_division_is_a_verification_failure(self, capsys, monkeypatch):
-        def inexact(params, vector):
+        def inexact(params, columns, sample):
             raise NotDivisibleError(DensePolynomial([1]))
 
-        monkeypatch.setattr(prouhet.cli, "cofactor_by_division", inexact)
+        monkeypatch.setattr(prouhet.cli, "division_columns", inexact)
         code = main(["factor", "--p", "2", "--n", "2", "--coeffs", "1,-1"])
         assert code == 1
         captured = capsys.readouterr()

@@ -1,6 +1,10 @@
 """The integer-column kernels of `factor` and `identities` against the
 ring-generic DensePolynomial multiply and exact_div."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
 from prouhet import (
@@ -140,6 +144,64 @@ class TestIdentityColumns:
         block = ptm_polynomial(PTMParams.from_degree(p, m), ZeroSumVector.roots_of_unity(p))
         assert rhs == coordinate_columns(block.coeffs, one)
         assert [len(column) for column in lhs] == [p ** (m + 1)] * (p - 1)
+
+
+def coeff_payload(c):
+    return str(c) if isinstance(c, int) else [str(v) for v in c.coeffs]
+
+
+def library_payload(params, vector):
+    """Oracle: the factor payload rendered from the library's polynomials."""
+    block = ptm_polynomial(params, vector)
+    cofactor = cofactor_by_division(params, vector)
+    return {
+        "vector": [coeff_payload(v) for v in vector],
+        "ptm_poly": [coeff_payload(c) for c in block.coeffs],
+        "divisor": [coeff_payload(c) for c in binomial_product(params).coeffs],
+        "cofactor": [coeff_payload(c) for c in cofactor.coeffs],
+        "product_check": times_binomial_product(params, cofactor) == block,
+        "constructions_agree": cofactor == cofactor_recursive(params, vector),
+    }
+
+
+def cli_payload(params, vector_args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["factor", "--p", str(params.p), "--n", str(params.n), *vector_args])
+    assert code == 0
+    result = json.loads(buf.getvalue())["result"]
+    return {key: result[key] for key in result if key not in ("p", "n", "mode")}
+
+
+class TestFactorPayload:
+    @random_cases
+    def test_integer_vectors_match_library_payload(self, rng):
+        params, vector = random_integer_case(rng)
+        coeffs = ",".join(map(str, vector))
+        assert cli_payload(params, [f"--coeffs={coeffs}"]) == library_payload(params, vector)
+
+    @pytest.mark.parametrize(
+        "p,n,coeffs",
+        [(3, 2, "5,0,-5"), (3, 3, "0,5,-5"), (4, 2, "1,0,-1,0"), (2, 3, "0,0"), (5, 2, "0,0,0,0,0")],
+    )
+    def test_zero_entries_match_library_payload(self, p, n, coeffs):
+        params, vector = PTMParams(p, n), ZeroSumVector(map(int, coeffs.split(",")))
+        expected = library_payload(params, vector)
+        assert cli_payload(params, ["--coeffs", coeffs]) == expected
+
+    def test_stripped_trailing_coefficients_are_covered(self):
+        # 5,0,-5 puts 0 at the block's last label, so both the block and the
+        # cofactor lose their top coefficient; 0,0 leaves nothing.
+        params = PTMParams(3, 2)
+        payload = library_payload(params, ZeroSumVector([5, 0, -5]))
+        assert len(payload["ptm_poly"]) == 8 and len(payload["cofactor"]) == 4
+        assert library_payload(PTMParams(2, 3), ZeroSumVector([0, 0]))["cofactor"] == []
+
+    @pytest.mark.parametrize("p,n", GRID)
+    def test_symbolic_vector_matches_library_payload(self, p, n):
+        params = PTMParams(p, n)
+        expected = library_payload(params, ZeroSumVector.symbolic(p))
+        assert cli_payload(params, ["--symbolic"]) == expected
 
 
 @pytest.mark.parametrize(
