@@ -20,7 +20,6 @@ from .sequence import (
 from .partition import (
     EspReport,
     Partition,
-    PowerSumTable,
     class_power_sums,
     power_sum,
     power_sum_table,
@@ -33,7 +32,6 @@ from .factorization import (
     binomial_product,
     cofactor_by_division,
     cofactor_recursive,
-    cofactor_support_indices,
     first_coefficient_mismatch,
     one_minus_x_pow,
     ptm_polynomial,
@@ -60,14 +58,12 @@ __all__ = [
     "NotDivisibleError",
     "PTMParams",
     "Partition",
-    "PowerSumTable",
     "ZeroSumForm",
     "ZeroSumVector",
     "binomial_product",
     "class_power_sums",
     "cofactor_by_division",
     "cofactor_recursive",
-    "cofactor_support_indices",
     "first_coefficient_mismatch",
     "lehmer_expand",
     "lehmer_verify",

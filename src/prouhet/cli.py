@@ -172,6 +172,7 @@ def _cmd_lehmer(args):
 
 
 def _cmd_identities(args):
+    params = PTMParams.from_degree(args.p, args.m, args.budget)
     lhs, rhs = product_identity_sides(args.p, args.m, args.budget)
     first_mismatch = None
     if lhs != rhs:  # equal-length columns; ring values only to name the first difference
@@ -184,11 +185,10 @@ def _cmd_identities(args):
             "lhs": _coeff_payload(lhs_coeff),
             "rhs": _coeff_payload(rhs_coeff),
         }
-    spec = LehmerSpec.base_powers(args.p, args.m, args.budget)
     # A weighted sum vanishes exactly when its class power-sum row is
     # constant (reduce_zero_sum), so one scan of the rows decides every
     # degree at once.
-    report = scan_power_sums(class_power_sums(spec.p, spec.mu), args.m)
+    report = scan_power_sums(class_power_sums(args.p, params.weights), args.m)
     first_nonvanishing = None
     if report.first_violation is not None:
         first_nonvanishing = {

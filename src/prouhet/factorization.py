@@ -273,19 +273,6 @@ def times_binomial_columns(params, columns):
     return columns
 
 
-def cofactor_support_indices(params):
-    """Exponents where the cofactor may carry a nonzero coefficient.
-
-    Base block (0, ..., p-2); each higher level concatenates p-1 copies of
-    the previous block offset by k * p**level.  The count is (p-1)**n.
-    """
-    indices = list(range(params.p - 1))
-    for level in range(1, params.n):
-        stride = params.p**level
-        indices = [j + k * stride for k in range(params.p - 1) for j in indices]
-    return tuple(indices)
-
-
 def vector_columns(params, vector):
     """The coordinate columns of a length-p vector, p ints each."""
     if len(vector) != params.p:
@@ -301,12 +288,20 @@ def cofactor_recursive(params, vector):
 
 
 def recursive_column(n, vector):
-    """Level-n cofactor of a zero-sum list of ints, trailing zeros kept.
+    """Level-n cofactor of a zero-sum list of ints A, trailing zeros kept.
 
     Base case: coefficients are the prefix sums of the vector (the last one
     equals minus the final entry, which is what makes the base identity
-    close).  Step: place the level-(n-1) cofactors of the prefix-shift-sum
-    vectors B_k (ZeroSumVector.prefix_shift_sums) at offsets k * p**(n-1).
+    close).  Step: place the level-(n-1) cofactors of the prefix-shift sums
+    B_k[t] = A[t] + A[t + 1] + ... + A[t + k] (indices mod p), k = 0..p-2,
+    at offsets k * p**(n-1).
+
+    In closed form C[i] = sum of A[t(e)] over all e <= i digit by digit,
+    where every base-p digit of i is at most p - 2, and C[i] = 0 otherwise:
+    the prefix sum of the block over the digit cube [0, p-2]**n.  Proof by
+    induction on n: split i = k * p**(n-1) + i' at its top digit k.  Level
+    n - 1 gives C[i] = sum_{e' <= i'} B_k[t(e')] = sum_{j <= k, e' <= i'}
+    A[t(e') + j], and t(e') + j = t(j * p**(n-1) + e') mod p.
     """
     if n == 1:
         return list(itertools.accumulate(vector[:-1]))

@@ -23,19 +23,8 @@ from .factorization import block_columns
 # ptm_polynomial stays importable from here: perfbench/spans.py wraps it by this name.
 from .factorization import ptm_polynomial  # noqa: F401
 from .partition import class_power_sums, scan_power_sums
-from .rings import CyclotomicElement, check_base, reduce_zero_sum, symbol_coordinates
-from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, power_exceeds, ptm_block
-
-
-def _check_tuple_count(p, count, budget):
-    """Reject a bad base or budget, then p**count tuples over the budget."""
-    check_base(p)
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget!r}")
-    if power_exceeds(p, count, budget):
-        raise BudgetExceededError(
-            f"enumeration of {p}**{count} tuples exceeds budget {budget}"
-        )
+from .rings import CyclotomicElement, reduce_zero_sum, symbol_coordinates
+from .sequence import DEFAULT_BUDGET, PTMParams, ptm_block
 
 
 @dataclass(frozen=True)
@@ -53,18 +42,17 @@ class LehmerSpec:
         for w in self.mu:
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
-        _check_tuple_count(self.p, len(self.mu), self.budget)
+        # The p**(M+1) tuples are a block of M+1 digits: PTMParams checks
+        # the base, the budget and that count.
+        PTMParams(self.p, len(self.mu), self.budget)
 
     @classmethod
     def base_powers(cls, p, degree, budget=DEFAULT_BUDGET):
         """Weights (1, p, ..., p**degree), the digit-sum partition case.
 
-        The budget is checked before any weight is built.
+        The degree, base and budget are checked before any weight is built.
         """
-        if not isinstance(degree, int) or degree < 0:
-            raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
-        _check_tuple_count(p, degree + 1, budget)
-        return cls(p, tuple(p**m for m in range(degree + 1)), budget)
+        return cls(p, PTMParams.from_degree(p, degree, budget).weights, budget)
 
     @property
     def degree(self):
@@ -83,17 +71,6 @@ class ClassifiedMultiset:
 
     p: int
     classes: tuple
-
-    @property
-    def total_count(self):
-        return sum(mult for cls in self.classes for _, mult in cls)
-
-    def multiplicities_all_one(self):
-        return all(mult == 1 for cls in self.classes for _, mult in cls)
-
-    def value_sets(self):
-        """Per-class tuples of values, multiplicities dropped."""
-        return tuple(tuple(value for value, _ in cls) for cls in self.classes)
 
 
 def lehmer_expand(spec):

@@ -84,20 +84,12 @@ def class_power_sums(p, weights):
 
 def _block_rows(params):
     """class_power_sums rows of the digit-sum partition of params' block."""
-    return class_power_sums(params.p, [params.p**j for j in range(params.n)])
-
-
-@dataclass(frozen=True)
-class PowerSumTable:
-    """Rows are degrees 0..n-1, columns are the p classes."""
-
-    params: PTMParams
-    sums: tuple
+    return class_power_sums(params.p, params.weights)
 
 
 def power_sum_table(part):
-    rows = tuple(itertools.islice(_block_rows(part.params), part.params.n))
-    return PowerSumTable(part.params, rows)
+    """The power-sum rows of degrees 0..n-1, one entry per class."""
+    return tuple(itertools.islice(_block_rows(part.params), part.params.n))
 
 
 @dataclass(frozen=True)

@@ -210,18 +210,6 @@ class CyclotomicElement(ZeroSumCoordinates):
                 folded[(i + j) % p] += a * b
         return CyclotomicElement(p, reduce_zero_sum(folded))
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = CyclotomicElement.one(self.p)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def __str__(self):
         return signed_terms((c, power_name("w", i)) for i, c in enumerate(self.coeffs))
 

@@ -19,17 +19,6 @@ class BudgetExceededError(Exception):
     """An enumeration would exceed the configured term budget."""
 
 
-def power_exceeds(base, exponent, limit):
-    """Whether base**exponent > limit for base >= 2, found by multiplying
-    up with an early exit so a huge power is never built."""
-    count = 1
-    for _ in range(exponent):
-        count *= base
-        if count > limit:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class PTMParams:
     """Base p and block exponent n; a block spans the first p**n integers."""
@@ -44,10 +33,13 @@ class PTMParams:
             raise ValueError(f"block exponent n must be an integer >= 1, got {self.n!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be positive, got {self.budget!r}")
-        if power_exceeds(self.p, self.n, self.budget):
-            raise BudgetExceededError(
-                f"block of {self.p}**{self.n} terms exceeds budget {self.budget}"
-            )
+        count = 1
+        for _ in range(self.n):  # multiplied up with an early exit: no huge power is built
+            count *= self.p
+            if count > self.budget:
+                raise BudgetExceededError(
+                    f"block of {self.p}**{self.n} terms exceeds budget {self.budget}"
+                )
 
     @classmethod
     def from_degree(cls, p, degree, budget=DEFAULT_BUDGET):
@@ -64,6 +56,11 @@ class PTMParams:
     @property
     def block_length(self):
         return self.p**self.n
+
+    @property
+    def weights(self):
+        """The base powers (1, p, ..., p**(n-1)): the block's digit weights."""
+        return tuple(self.p**j for j in range(self.n))
 
 
 def ptm_term(n, p):
@@ -133,32 +130,6 @@ class ZeroSumVector:
         """k-th left cyclic shift (k reduced mod p); still sums to zero."""
         k %= self.p
         return ZeroSumVector(self.entries[k:] + self.entries[:k])
-
-    def prefix_shift_sums(self):
-        """The vectors B_k = shift(0) + ... + shift(k) for k = 0..p-2.
-
-        Each is again zero-sum, and the last equals -shift(p-1).
-        """
-        out = [self]
-        acc = self
-        for k in range(1, self.p - 1):
-            acc = acc + self.shift(k)
-            out.append(acc)
-        return out
-
-    @property
-    def is_zero(self):
-        return not any(self.entries)
-
-    def __add__(self, other):
-        if not isinstance(other, ZeroSumVector):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError(f"mismatched lengths: {self.p} vs {other.p}")
-        return ZeroSumVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self):
-        return ZeroSumVector(tuple(-a for a in self.entries))
 
     def __len__(self):
         return self.p

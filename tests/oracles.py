@@ -5,6 +5,8 @@ term, by repeated ring-generic division, or by multiplying DensePolynomial
 factors.  They stay slow and direct on purpose.
 """
 
+import itertools
+
 from prouhet import (
     CyclotomicElement,
     DensePolynomial,
@@ -49,6 +51,23 @@ def ptm_polynomial_recursive(params, vector):
         block = ptm_polynomial_recursive(sub, vector.shift(k))
         total = total + block.shifted(k * stride)
     return total
+
+
+def cube_cofactor(n, vector):
+    """The level-n cofactor of a zero-sum list of ints A as the direct cube
+    sum C[i] = sum of A[t(e)] over all e <= i digit by digit, for each i
+    whose base-p digits are all at most p - 2, and 0 for every other i; as
+    long as the block of p**n terms divided by the n binomials."""
+    p = len(vector)
+    out = []
+    for i in range(p**n - (p**n - 1) // (p - 1)):
+        digits = [i // p**k % p for k in range(n)]
+        if max(digits) > p - 2:
+            out.append(0)
+            continue
+        below = itertools.product(*(range(d + 1) for d in digits))
+        out.append(sum(vector[ptm_term(sum(d * p**k for k, d in enumerate(e)), p)] for e in below))
+    return out
 
 
 def vanishing_order_at_one(poly):

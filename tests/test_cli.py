@@ -282,6 +282,13 @@ class TestLehmerCommand:
         assert code == 2
         assert "budget must be positive" in capsys.readouterr().err
 
+    def test_over_budget_exits_3_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["lehmer", "--p", "2", "--mu", ",".join(["1"] * 31)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "block of 2**31 terms exceeds budget 10000000" in capsys.readouterr().err
+
 
 class TestIdentitiesCommand:
     @pytest.mark.parametrize("p,m", [(2, 3), (3, 0), (5, 2)])

@@ -19,12 +19,21 @@ from prouhet import (
     cofactor_recursive,
     one_minus_x_pow,
     product_identity_sides,
+    ptm_block,
     ptm_polynomial,
 )
 from prouhet.cli import main
-from prouhet.factorization import coordinate_columns, divide_columns, times_binomial_product
+from prouhet.factorization import (
+    block_columns,
+    coordinate_columns,
+    divide_columns,
+    division_columns,
+    recursive_column,
+    times_binomial_product,
+    vector_columns,
+)
 
-from oracles import dense_product_lhs, identity_side_polynomials
+from oracles import cube_cofactor, dense_product_lhs, identity_side_polynomials
 from randomized import random_cases
 
 # Largest block exponent per base that keeps the ring-generic oracle quick.
@@ -100,6 +109,28 @@ class TestDivision:
             divide_columns(coordinate_columns(f, f[0]), 2, f[0])
         q = DensePolynomial(f[:1])
         assert_same_poly(err.value.remainder, DensePolynomial(f) - q * one_minus_x_pow(2))
+
+
+class TestCubeSum:
+    """Division, the recursion and the direct cube sum give one cofactor."""
+
+    @staticmethod
+    def assert_agree(params, columns):
+        divided = division_columns(params, block_columns(ptm_block(params), columns), 0)
+        for column, quotient in zip(columns, divided):
+            assert quotient == recursive_column(params.n, column) == cube_cofactor(params.n, column)
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    @random_cases
+    def test_integer_vectors(self, p, rng):
+        # Entries are zero half the time, so the zero vector occurs too.
+        head = [rng.choice((0, rng.randint(-9, 9))) for _ in range(p - 1)]
+        self.assert_agree(PTMParams(p, rng.randint(1, MAX_N[p])), [head + [-sum(head)]])
+
+    @pytest.mark.parametrize("p,n", GRID)
+    def test_symbolic_columns(self, p, n):
+        params = PTMParams(p, n)
+        self.assert_agree(params, vector_columns(params, ZeroSumVector.symbolic(p)))
 
 
 class TestMultiplyBack:

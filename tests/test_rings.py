@@ -114,11 +114,6 @@ class TestCyclotomic:
         assert 1 - x == CyclotomicElement(3, (-1, 1))
         assert CyclotomicElement.from_int(3, 5) == 5
 
-    def test_pow(self):
-        w = omega_pow(7, 1)
-        assert w**9 == omega_pow(7, 2)
-        assert w**0 == CyclotomicElement.one(7)
-
     def test_mismatched_base_raises(self):
         with pytest.raises(ValueError):
             CyclotomicElement(3, (1, 0)) + CyclotomicElement(4, (1, 0, 0))

@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from prouhet import (
     ZeroSumForm,
     ZeroSumVector,
     omega_pow,
+    product_identity_sides,
     ptm_block,
     ptm_block_recursive,
     ptm_term,
@@ -119,6 +121,24 @@ class TestPTMParams:
             with pytest.raises(ValueError, match=message):
                 build()
 
+    def test_one_budget_gate_everywhere(self):
+        huge = 100000
+        message = r"^block of 3\*\*\d+ terms exceeds budget 10$"
+        builders = [
+            lambda budget: PTMParams(3, huge, budget),
+            lambda budget: PTMParams.from_degree(3, huge, budget),
+            lambda budget: LehmerSpec(3, (1,) * huge, budget),
+            lambda budget: LehmerSpec.base_powers(3, huge, budget),
+            lambda budget: product_identity_sides(3, huge, budget),
+        ]
+        for build in builders:
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceededError, match=message):
+                build(10)
+            assert time.perf_counter() - start < 1.0
+            with pytest.raises(ValueError, match="budget must be positive"):
+                build(0)
+
     def test_degree_relation(self):
         params = PTMParams.from_degree(3, 2)
         assert params.n == 3
@@ -153,36 +173,3 @@ class TestZeroSumVector:
         a = ZeroSumVector.roots_of_unity(p)
         for k in range(p):
             assert a[k] == omega_pow(p, k)
-
-    def test_prefix_sums_base_case(self):
-        a = ZeroSumVector([1, 1, -2])
-        prefixes = a.prefix_shift_sums()
-        assert prefixes[0] == a
-
-    def test_prefix_sums_derived_example(self):
-        # B_1 = A + shift(A,1) = (1,1,-2) + (1,-2,1) = (2,-1,-1) = -shift(A,2)
-        a = ZeroSumVector([1, 1, -2])
-        prefixes = a.prefix_shift_sums()
-        assert prefixes[1].entries == (2, -1, -1)
-        assert prefixes[1] == -a.shift(2)
-
-    def test_prefix_sums_last_equals_minus_last_shift(self):
-        a = ZeroSumVector([3, -1, 2, -4])
-        assert a.prefix_shift_sums()[-1] == -a.shift(a.p - 1)
-
-    def test_prefix_sums_p2(self):
-        # with a1 = -a0 the single prefix vector is the vector itself,
-        # and -shift(A,1) = A is forced by the zero sum
-        a = ZeroSumVector([7, -7])
-        assert a.prefix_shift_sums() == [a]
-        assert -a.shift(1) == a
-
-    def test_symbolic_prefix_sums_stay_zero_sum(self):
-        # construction re-checks the invariant, so this simply must not raise
-        for p in range(2, 7):
-            for vec in ZeroSumVector.symbolic(p).prefix_shift_sums():
-                assert len(vec) == p
-
-    def test_is_zero(self):
-        assert ZeroSumVector([0, 0, 0]).is_zero
-        assert not ZeroSumVector([1, -1]).is_zero
