@@ -25,6 +25,7 @@ from .partition import (
     power_sum_table,
     prouhet_partition,
     verify_esp,
+    weighted_classes,
 )
 from .factorization import (
     DensePolynomial,
@@ -79,4 +80,5 @@ __all__ = [
     "ptm_polynomial",
     "ptm_term",
     "verify_esp",
+    "weighted_classes",
 ]

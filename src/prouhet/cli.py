@@ -16,16 +16,16 @@ import json
 import sys
 import time
 
-# binomial_product, cofactor_by_division, cofactor_recursive and ptm_polynomial
-# stay importable from here: perfbench/spans.py wraps them by these names.
+# binomial_product, cofactor_by_division, cofactor_recursive,
+# first_coefficient_mismatch and ptm_polynomial stay importable from here:
+# perfbench/spans.py wraps them by these names.
 from .factorization import binomial_product, cofactor_by_division  # noqa: F401
 from .factorization import cofactor_recursive, ptm_polynomial  # noqa: F401
+from .factorization import first_coefficient_mismatch  # noqa: F401
 from .factorization import (
     NotDivisibleError,
     block_columns,
     division_columns,
-    first_coefficient_mismatch,
-    polynomial_from_columns,
     recursive_column,
     strip_zero_rows,
     times_binomial_columns,
@@ -41,20 +41,14 @@ from .lehmer import (
     product_identity_sides,
 )
 from .partition import power_sum_table  # noqa: F401
-from .partition import class_power_sums, prouhet_partition, scan_power_sums, verify_esp
-from .rings import CyclotomicElement, reduce_zero_sum
+from .partition import prouhet_partition, verify_esp
+from .rings import reduce_zero_sum
 from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, ZeroSumVector, ptm_block
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def _coeff_payload(c):
-    if isinstance(c, int):
-        return str(c)
-    return [str(v) for v in c.coeffs]
 
 
 def _columns_payload(columns, ring):
@@ -83,7 +77,7 @@ def _cmd_partition(args):
     params = PTMParams.from_degree(args.p, args.m, args.budget)
     part = prouhet_partition(params)
     through = args.m if args.check_beyond is None else max(args.m, args.check_beyond)
-    report = verify_esp(part, through)
+    report = verify_esp(params, through)
     assert len(report.power_sums) > args.m  # ESP holds through m <= through
     result = {
         "p": args.p,
@@ -126,7 +120,7 @@ def _cmd_factor(args):
     recursive = strip_zero_rows([recursive_column(params.n, c) for c in columns])
     product_check = times_binomial_columns(params, cofactor) == block
     agree = cofactor == recursive
-    vector_payload = [_coeff_payload(v) for v in vector]
+    vector_payload = _columns_payload(columns, args.symbolic)
     result = {
         "p": args.p,
         "n": args.n,
@@ -173,22 +167,20 @@ def _cmd_lehmer(args):
 
 def _cmd_identities(args):
     params = PTMParams.from_degree(args.p, args.m, args.budget)
-    lhs, rhs = product_identity_sides(args.p, args.m, args.budget)
+    lhs, rhs = product_identity_sides(params)
     first_mismatch = None
-    if lhs != rhs:  # equal-length columns; ring values only to name the first difference
-        one = CyclotomicElement.one(args.p)
-        exponent, lhs_coeff, rhs_coeff = first_coefficient_mismatch(
-            polynomial_from_columns(lhs, one), polynomial_from_columns(rhs, one)
-        )
+    if lhs != rhs:  # equal-length columns: name the first differing row
+        rows = zip(zip(*lhs), zip(*rhs))
+        exponent, (lhs_row, rhs_row) = next((i, r) for i, r in enumerate(rows) if r[0] != r[1])
         first_mismatch = {
             "exponent": exponent,
-            "lhs": _coeff_payload(lhs_coeff),
-            "rhs": _coeff_payload(rhs_coeff),
+            "lhs": list(map(str, lhs_row)),
+            "rhs": list(map(str, rhs_row)),
         }
     # A weighted sum vanishes exactly when its class power-sum row is
-    # constant (reduce_zero_sum), so one scan of the rows decides every
-    # degree at once.
-    report = scan_power_sums(class_power_sums(args.p, params.weights), args.m)
+    # constant (reduce_zero_sum), so one check of equal power sums through
+    # degree m decides every degree at once.
+    report = verify_esp(params, args.m)
     first_nonvanishing = None
     if report.first_violation is not None:
         first_nonvanishing = {

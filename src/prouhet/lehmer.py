@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .factorization import block_columns
 # ptm_polynomial stays importable from here: perfbench/spans.py wraps it by this name.
 from .factorization import ptm_polynomial  # noqa: F401
-from .partition import class_power_sums, scan_power_sums
+from .partition import class_power_sums, scan_power_sums, weighted_classes
 from .rings import CyclotomicElement, reduce_zero_sum, symbol_coordinates
 from .sequence import DEFAULT_BUDGET, PTMParams, ptm_block
 
@@ -74,23 +74,12 @@ class ClassifiedMultiset:
 
 
 def lehmer_expand(spec):
-    """Bucket the weighted values of all p**(M+1) digit tuples by digit-sum
-    class, keeping multiplicities.
-
-    Built weight by weight: after weight w, class (k + d) mod p holds the
-    values of the previous class k shifted by d*w, d = 0..p-1.
-    """
-    p = spec.p
-    classes = [[0]] + [[] for _ in range(p - 1)]
-    for w in spec.mu:
-        grown = [list(values) for values in classes]
-        for d in range(1, p):
-            shift = d * w
-            for k, values in enumerate(classes):
-                grown[(k + d) % p] += [v + shift for v in values]
-        classes = grown
-    counters = [Counter(values) for values in classes]
-    return ClassifiedMultiset(p, tuple(tuple(sorted(c.items())) for c in counters))
+    """The weighted values of all p**(M+1) digit tuples by digit-sum class,
+    with multiplicities: weighted_classes, counted and sorted."""
+    classes = weighted_classes(spec.p, spec.mu)
+    return ClassifiedMultiset(
+        spec.p, tuple(tuple(sorted(Counter(values).items())) for values in classes)
+    )
 
 
 def _class_moments(pairs, degree):
@@ -126,47 +115,39 @@ def lehmer_weighted_sum(spec, exponent):
     return CyclotomicElement(spec.p, reduce_zero_sum(sums))
 
 
-def product_identity_sides(p, degree, budget=DEFAULT_BUDGET):
-    """Both sides of the class generating identity, as the p - 1 integer
-    columns of their coordinates on w^0, ..., w^{p-2}, each of length
-    p**(degree+1).
+def product_identity_sides(params):
+    """Both sides of the class generating identity for the block of params,
+    as the p - 1 integer columns of their coordinates on w^0, ..., w^{p-2},
+    each of length p**n.
 
-    Left: the product over m = 0..degree of
+    Left: the product over m = 0..n-1 of
     1 + w*x^{p^m} + w^2*x^{2*p^m} + ... + w^{p-1}*x^{(p-1)*p^m}.
     Right: the block polynomial whose x^i coefficient is w^{t(i)},
-    i = 0..p**(degree+1)-1.  For p = 2 each factor is 1 - x^{2^m}.
+    i = 0..p**n-1.  For p = 2 each factor is 1 - x^{2^m}.
 
-    The left side is expanded over Z[w]/(w^p - 1) as p integer columns, the
-    r-th holding the coefficients of w^r: a factor adds column r, moved up by
-    j*p^m, to column (r + j) mod p.  The columns are reduced to the quotient
-    ring once, at the end, by w^{p-1} = -(1 + w + ... + w^{p-2}).  The right
+    Expanded over Z[w]/(w^p - 1), the left side's coefficient of w^r is the
+    histogram of class r of weighted_classes at the base-power weights, so
+    its p integer columns are read off those lists.  They are reduced to the
+    quotient ring once, by w^{p-1} = -(1 + w + ... + w^{p-2}).  The right
     side reads one ptm_block through the coordinates of each w^t
     (symbol_coordinates).  The sides are equal exactly when their columns
     are; polynomial_from_columns turns either into a polynomial over the
     cyclotomic ring.
     """
-    params = PTMParams.from_degree(p, degree, budget)
-    lhs = _product_columns(p, degree)
-    labels = ptm_block(params)
+    p = params.p
+    *classes, last = weighted_classes(p, params.weights)
+    # reduce_zero_sum on every row at once: each column starts from minus
+    # the histogram of class p - 1, the coefficients of w^{p-1}.
+    minus_last = [0] * params.block_length
+    for v in last:
+        minus_last[v] -= 1
+    lhs = []
+    for values in classes:
+        column = list(minus_last)
+        for v in values:
+            column[v] += 1
+        lhs.append(column)
     # Row r holds coordinate r of w^0, ..., w^{p-1}, as a list because
     # list.__getitem__ is a faster lookup than tuple.__getitem__.
     coordinates = [list(row) for row in zip(*[symbol_coordinates(p, t) for t in range(p)])]
-    return lhs, block_columns(labels, coordinates)
-
-
-def _product_columns(p, degree):
-    """The left side's reduced coordinate columns (see product_identity_sides)."""
-    columns = [[1]] + [[0] for _ in range(p - 1)]
-    for level in range(degree + 1):
-        stride = p**level
-        grown = [[0] * (len(columns[0]) + (p - 1) * stride) for _ in range(p)]
-        for j in range(p):
-            start = j * stride
-            for r, column in enumerate(columns):
-                out = grown[(r + j) % p]
-                end = start + len(column)
-                out[start:end] = map(operator.add, out[start:end], column)
-        columns = grown
-    # reduce_zero_sum on every row at once: column p - 1 holds the
-    # coefficients of w^{p-1}, subtracted from the others.
-    return [list(map(operator.sub, column, columns[-1])) for column in columns[:-1]]
+    return lhs, block_columns(ptm_block(params), coordinates)

@@ -12,26 +12,44 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 # ptm_term stays importable from here: perfbench/spans.py wraps it by this name.
-from .sequence import PTMParams, ptm_block, ptm_term  # noqa: F401
+from .sequence import PTMParams, ptm_term  # noqa: F401
+
+
+def weighted_classes(p, weights):
+    """The values a_0*mu_0 + a_1*mu_1 + ... of all digit tuples (a_j in
+    0..p-1) for weights (mu_0, mu_1, ...), as p lists: list k holds the
+    values of the tuples of digit sum k mod p, repeated where they collide.
+
+    This is the term-by-term expansion of prod_j sum_{d<p} w^d x^{d*mu_j}:
+    after weight mu, class (k + d) mod p holds the previous class k shifted
+    by d*mu, d = 0..p-1.  With weights (1, p, ..., p**(n-1)) each list is
+    sorted and the lists are the digit-sum partition of {0, ..., p**n - 1}.
+    """
+    classes = [[0]] + [[] for _ in range(p - 1)]
+    for mu in weights:
+        grown = [list(values) for values in classes]
+        for d in range(1, p):
+            shift = d * mu
+            for k, values in enumerate(classes):
+                grown[(k + d) % p] += [v + shift for v in values]
+        classes = grown
+    return classes
 
 
 @dataclass(frozen=True)
 class Partition:
     """The p digit-sum classes S_0, ..., S_{p-1} of {0, ..., p**n - 1}.
 
-    Determined by its params: class k holds every n with t(n) = k, read off
-    one ptm_block.
+    Determined by its params: class k holds every n with t(n) = k, listed
+    by weighted_classes at the base-power weights.
     """
 
     params: PTMParams
     classes: tuple = field(init=False)
 
     def __post_init__(self):
-        buckets = [[] for _ in range(self.params.p)]
-        appends = [bucket.append for bucket in buckets]
-        for n, label in enumerate(ptm_block(self.params)):
-            appends[label](n)
-        object.__setattr__(self, "classes", tuple(tuple(b) for b in buckets))
+        classes = weighted_classes(self.params.p, self.params.weights)
+        object.__setattr__(self, "classes", tuple(map(tuple, classes)))
 
 
 def prouhet_partition(params):
@@ -82,14 +100,9 @@ def class_power_sums(p, weights):
         binomials = [a + b for a, b in zip([0] + binomials, binomials + [0])]
 
 
-def _block_rows(params):
-    """class_power_sums rows of the digit-sum partition of params' block."""
-    return class_power_sums(params.p, params.weights)
-
-
-def power_sum_table(part):
-    """The power-sum rows of degrees 0..n-1, one entry per class."""
-    return tuple(itertools.islice(_block_rows(part.params), part.params.n))
+def power_sum_table(params):
+    """The digit-sum classes' power-sum rows of degrees 0..n-1."""
+    return tuple(itertools.islice(class_power_sums(params.p, params.weights), params.n))
 
 
 @dataclass(frozen=True)
@@ -122,8 +135,9 @@ def scan_power_sums(rows, through_degree):
     return EspReport(through_degree, None, tuple(scanned))
 
 
-def verify_esp(part, through_degree):
-    """Check equal power sums across all classes for exponents 0..through_degree."""
+def verify_esp(params, through_degree):
+    """Check equal power sums across the digit-sum classes of params' block
+    for exponents 0..through_degree, as an EspReport."""
     if through_degree < 0:
         raise ValueError(f"through_degree must be non-negative, got {through_degree!r}")
-    return scan_power_sums(_block_rows(part.params), through_degree)
+    return scan_power_sums(class_power_sums(params.p, params.weights), through_degree)

@@ -17,6 +17,7 @@ from prouhet import (
     omega_pow,
     one_minus_x_pow,
     product_identity_sides,
+    ptm_block,
     ptm_term,
 )
 from prouhet.factorization import polynomial_from_columns
@@ -51,6 +52,23 @@ def ptm_polynomial_recursive(params, vector):
         block = ptm_polynomial_recursive(sub, vector.shift(k))
         total = total + block.shifted(k * stride)
     return total
+
+
+def classes_by_label(params):
+    """The digit-sum classes of {0, ..., p**n - 1} by bucketing the indices
+    of one ptm_block by their labels."""
+    buckets = [[] for _ in range(params.p)]
+    for n, label in enumerate(ptm_block(params)):
+        buckets[label].append(n)
+    return tuple(map(tuple, buckets))
+
+
+def product_value_lists(p, weights):
+    """Class value lists of every digit tuple, from itertools.product."""
+    lists = [[] for _ in range(p)]
+    for digits in itertools.product(range(p), repeat=len(weights)):
+        lists[sum(digits) % p].append(sum(d * w for d, w in zip(digits, weights)))
+    return lists
 
 
 def cube_cofactor(n, vector):
@@ -126,7 +144,8 @@ def identity_side_polynomials(p, degree):
     """Both sides of product_identity_sides as polynomials over the
     cyclotomic ring, built from their coordinate columns."""
     one = CyclotomicElement.one(p)
-    return tuple(polynomial_from_columns(side, one) for side in product_identity_sides(p, degree))
+    sides = product_identity_sides(PTMParams.from_degree(p, degree))
+    return tuple(polynomial_from_columns(side, one) for side in sides)
 
 
 def verify_product_identity(p, degree):

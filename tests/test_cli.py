@@ -11,11 +11,13 @@ import prouhet.cli
 import prouhet.factorization
 import prouhet.lehmer
 import prouhet.partition
+import prouhet.sequence
 from prouhet import (
     CyclotomicElement,
     DensePolynomial,
     LehmerSpec,
     NotDivisibleError,
+    PTMParams,
     ZeroSumForm,
     class_power_sums,
     lehmer_weighted_sum,
@@ -126,28 +128,40 @@ class TestPartitionCommand:
         assert "--check-beyond must be >= 0, got -3" in captured.err
         assert captured.out == ""
 
-    def test_builds_the_label_block_once(self, capsys, monkeypatch):
-        calls = []
+    def test_lists_the_classes_once_without_a_label_block(self, capsys, monkeypatch):
+        lists, blocks = [], []
+        weighted_classes = prouhet.partition.weighted_classes
 
-        def counted(params):
-            calls.append(params)
+        def counted_lists(p, weights):
+            lists.append(weights)
+            return weighted_classes(p, weights)
+
+        def counted_block(params):
+            blocks.append(params)
             return ptm_block(params)
 
-        monkeypatch.setattr(prouhet.partition, "ptm_block", counted)
-        code = main(["partition", "--p", "3", "--m", "2", "--check-beyond", "5"])
+        monkeypatch.setattr(prouhet.partition, "weighted_classes", counted_lists)
+        for module in (prouhet.cli, prouhet.sequence):
+            monkeypatch.setattr(module, "ptm_block", counted_block)
+        code, envelope = run_json(
+            capsys, ["partition", "--p", "3", "--m", "2", "--check-beyond", "5"]
+        )
         assert code == 0
-        assert len(calls) == 1
+        assert lists == [(1, 3, 9)]
+        assert blocks == []
+        assert envelope["result"]["classes"][1] == [
+            n for n in range(27) if prouhet.sequence.ptm_term(n, 3) == 1
+        ]
 
     @pytest.mark.parametrize("extra", [[], ["--check-beyond", "5"]])
     def test_reads_the_power_sum_rows_once(self, capsys, monkeypatch, extra):
         calls = []
 
-        def counted(params):
-            calls.append(params)
-            return block_rows(params)
+        def counted(p, weights):
+            calls.append(weights)
+            return class_power_sums(p, weights)
 
-        block_rows = prouhet.partition._block_rows
-        monkeypatch.setattr(prouhet.partition, "_block_rows", counted)
+        monkeypatch.setattr(prouhet.partition, "class_power_sums", counted)
         code, envelope = run_json(capsys, ["partition", "--p", "3", "--m", "2", *extra])
         assert code == 0
         assert len(calls) == 1
@@ -316,15 +330,15 @@ class TestIdentitiesCommand:
         ]
 
     def test_changed_coordinate_is_the_first_mismatch(self, capsys, monkeypatch):
-        def changed(p, degree, budget):
-            lhs, rhs = product_identity_sides(p, degree, budget)
+        def changed(params):
+            lhs, rhs = product_identity_sides(params)
             lhs[1][40] += 5
             return lhs, rhs
 
         monkeypatch.setattr(prouhet.cli, "product_identity_sides", changed)
         code, envelope = run_json(capsys, ["identities", "--p", "3", "--m", "3"])
         assert code == 1
-        lhs, rhs = product_identity_sides(3, 3)
+        lhs, rhs = product_identity_sides(PTMParams.from_degree(3, 3))
         result = envelope["result"]
         assert result["product_identity_holds"] is False
         assert result["first_mismatch"] == {
@@ -335,13 +349,29 @@ class TestIdentitiesCommand:
         assert result["weighted_sums_vanish"] is True
         assert result["all_pass"] is False
 
+    def test_mismatch_on_an_all_zero_row_names_every_coordinate(self, capsys, monkeypatch):
+        def zeroed(params):
+            lhs, rhs = product_identity_sides(params)
+            for column in rhs:
+                column[-1] = 0
+            return lhs, rhs
+
+        monkeypatch.setattr(prouhet.cli, "product_identity_sides", zeroed)
+        code, envelope = run_json(capsys, ["identities", "--p", "3", "--m", "1"])
+        assert code == 1
+        # t(8) = 1, so the top coefficient is w = (0, 1); the zeroed row
+        # still has one entry per coordinate.
+        assert envelope["result"]["first_mismatch"] == {
+            "exponent": 8, "lhs": ["0", "1"], "rhs": ["0", "0"],
+        }
+
     @pytest.mark.parametrize("broken", [0, 2])
     def test_unequal_row_is_the_first_nonvanishing_sum(self, capsys, monkeypatch, broken):
         def rows(p, weights):
             for r, row in enumerate(class_power_sums(p, weights)):
                 yield (row[0] + 7,) + row[1:] if r == broken else row
 
-        for module in (prouhet.cli, prouhet.lehmer):
+        for module in (prouhet.partition, prouhet.lehmer):
             monkeypatch.setattr(module, "class_power_sums", rows)
         code, envelope = run_json(capsys, ["identities", "--p", "4", "--m", "3"])
         assert code == 1
@@ -368,7 +398,7 @@ class TestIdentitiesCommand:
             return class_power_sums(p, weights)
 
         monkeypatch.setattr(CyclotomicElement, "__init__", counted_init)
-        for module in (prouhet.cli, prouhet.lehmer):
+        for module in (prouhet.partition, prouhet.lehmer):
             monkeypatch.setattr(module, "class_power_sums", counted_rows)
         counts = {}
         for m in (1, 6):
@@ -379,6 +409,23 @@ class TestIdentitiesCommand:
             assert len(row_passes) == 1
         # 3**7 block coefficients at m = 6, but no ring element per coefficient.
         assert counts[6] == counts[1]
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_one_params_and_no_ring_element_per_job(self, capsys, monkeypatch, m):
+        built = []
+
+        def counted(original):
+            def wrapper(self, *args):
+                built.append(type(self).__name__)
+                original(self, *args)
+            return wrapper
+
+        for cls in (CyclotomicElement, ZeroSumForm):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        monkeypatch.setattr(PTMParams, "__post_init__", counted(PTMParams.__post_init__))
+        assert main(["identities", "--p", "3", "--m", str(m)]) == 0
+        assert built == ["PTMParams"]
+        assert json.loads(capsys.readouterr().out)["result"]["all_pass"] is True
 
 
 class TestHarness:

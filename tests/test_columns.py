@@ -169,7 +169,7 @@ class TestIdentityColumns:
     @random_cases
     def test_columns_are_the_coordinates_of_both_sides(self, rng):
         p, m = rng.randint(2, 7), rng.randint(0, 3)
-        lhs, rhs = product_identity_sides(p, m)
+        lhs, rhs = product_identity_sides(PTMParams.from_degree(p, m))
         one = CyclotomicElement.one(p)
         assert lhs == coordinate_columns(dense_product_lhs(p, m).coeffs, one)
         block = ptm_polynomial(PTMParams.from_degree(p, m), ZeroSumVector.roots_of_unity(p))

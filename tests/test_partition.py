@@ -12,9 +12,10 @@ from prouhet import (
     prouhet_partition,
     ptm_term,
     verify_esp,
+    weighted_classes,
 )
 
-from oracles import weighted_power_sum
+from oracles import classes_by_label, product_value_lists, weighted_power_sum
 from randomized import random_cases
 
 # Brute-forced with sum(n**4 for n in ...) over the two classes below.
@@ -58,6 +59,29 @@ class TestProuhetPartition:
             Partition(params, ((0, 3), (1, 2)))
 
 
+class TestWeightedClasses:
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_partition_matches_label_buckets(self, p):
+        m = 0
+        while p ** (m + 1) <= 3000:
+            params = PTMParams.from_degree(p, m)
+            assert Partition(params).classes == classes_by_label(params), (p, m)
+            m += 1
+
+    @random_cases
+    def test_matches_product_enumeration(self, rng):
+        p = rng.randint(2, 5)
+        pool = [rng.randint(1, 30) for _ in range(rng.randint(1, 3))]
+        weights = [rng.choice(pool) for _ in range(rng.randint(0, {2: 7, 3: 5, 4: 4, 5: 3}[p]))]
+        lists = weighted_classes(p, weights)
+        expected = product_value_lists(p, weights)
+        assert [sorted(values) for values in lists] == [sorted(e) for e in expected], (p, weights)
+
+    def test_repeated_weight_repeats_values(self):
+        assert weighted_classes(2, [1, 1]) == [[0, 2], [1, 1]]
+        assert weighted_classes(3, []) == [[0], [], []]
+
+
 class TestPowerSum:
     def test_golden_cubes(self):
         assert power_sum(S0_P2M3, 3) == 7200
@@ -78,39 +102,34 @@ class TestPowerSum:
 
 class TestPowerSumTable:
     def test_golden_p2_m3(self):
-        part = prouhet_partition(PTMParams.from_degree(2, 3))
-        table = power_sum_table(part)
+        table = power_sum_table(PTMParams.from_degree(2, 3))
         assert table == ((8, 8), (60, 60), (620, 620), (7200, 7200))
 
     def test_p3_m0(self):
-        part = prouhet_partition(PTMParams.from_degree(3, 0))
-        assert power_sum_table(part) == ((1, 1, 1),)
+        assert power_sum_table(PTMParams.from_degree(3, 0)) == ((1, 1, 1),)
 
     def test_p3_m1(self):
-        part = prouhet_partition(PTMParams.from_degree(3, 1))
-        assert power_sum_table(part) == ((3, 3, 3), (12, 12, 12))
+        assert power_sum_table(PTMParams.from_degree(3, 1)) == ((3, 3, 3), (12, 12, 12))
 
 
 class TestVerifyEsp:
     def test_golden_through_declared_degree(self):
-        part = prouhet_partition(PTMParams.from_degree(2, 3))
-        report = verify_esp(part, 3)
+        report = verify_esp(PTMParams.from_degree(2, 3), 3)
         assert report.equal_up_to == 3
         assert report.first_violation is None
 
     def test_golden_beyond_declared_degree(self):
-        part = prouhet_partition(PTMParams.from_degree(2, 3))
-        report = verify_esp(part, 4)
+        params = PTMParams.from_degree(2, 3)
+        report = verify_esp(params, 4)
         assert report.equal_up_to == 3
         assert report.first_violation == (4, 0, 1)
-        assert report.power_sums == power_sum_table(part) + ((89924, 88388),)
+        assert report.power_sums == power_sum_table(params) + ((89924, 88388),)
         # brute-force oracle for the two fourth-power sums
         assert power_sum(S0_P2M3, 4) == 89924
         assert power_sum(S1_P2M3, 4) == 88388
 
     def test_p3_m1_beyond(self):
-        part = prouhet_partition(PTMParams.from_degree(3, 1))
-        report = verify_esp(part, 2)
+        report = verify_esp(PTMParams.from_degree(3, 1), 2)
         assert report.equal_up_to == 1
         # classes 0 and 1 still agree at m=2 (74 each); class 2 gives 56
         assert report.first_violation == (2, 0, 2)
@@ -119,16 +138,14 @@ class TestVerifyEsp:
         assert power_sum((2, 4, 6), 2) == 56
 
     def test_smallest_case(self):
-        part = prouhet_partition(PTMParams.from_degree(2, 0))
-        report = verify_esp(part, 1)
+        report = verify_esp(PTMParams.from_degree(2, 0), 1)
         assert report.equal_up_to == 0
         assert report.first_violation == (1, 0, 1)
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_equal_sums_sweep(self, p, m):
-        part = prouhet_partition(PTMParams.from_degree(p, m))
-        assert verify_esp(part, m).first_violation is None
+        assert verify_esp(PTMParams.from_degree(p, m), m).first_violation is None
 
 
 class TestCrossOracle:
@@ -136,8 +153,7 @@ class TestCrossOracle:
     def test_indicator_vectors_match_direct_sums(self, p, m):
         # the weighted sum with entries +1 at j, -1 at k equals s_j - s_k
         params = PTMParams.from_degree(p, m)
-        part = prouhet_partition(params)
-        table = power_sum_table(part)
+        table = power_sum_table(params)
         for j in range(p):
             for k in range(j + 1, p):
                 entries = [0] * p
@@ -167,10 +183,9 @@ class TestClassPowerSums:
 
     def test_table_and_check_read_the_rows(self):
         params = PTMParams.from_degree(3, 2)
-        part = prouhet_partition(params)
         rows = list(itertools.islice(class_power_sums(3, [1, 3, 9]), 4))
-        assert power_sum_table(part) == tuple(rows[:3])
+        assert power_sum_table(params) == tuple(rows[:3])
         assert rows[3][0] != rows[3][1]  # so the check fails first at m = 3
-        report = verify_esp(part, 10**9)
+        report = verify_esp(params, 10**9)
         assert report.first_violation == (3, 0, 1)
         assert report.power_sums == tuple(rows)  # no row read past the violation

@@ -11,7 +11,6 @@ from prouhet import (
     ZeroSumForm,
     ZeroSumVector,
     omega_pow,
-    product_identity_sides,
     ptm_block,
     ptm_block_recursive,
     ptm_term,
@@ -129,7 +128,6 @@ class TestPTMParams:
             lambda budget: PTMParams.from_degree(3, huge, budget),
             lambda budget: LehmerSpec(3, (1,) * huge, budget),
             lambda budget: LehmerSpec.base_powers(3, huge, budget),
-            lambda budget: product_identity_sides(3, huge, budget),
         ]
         for build in builders:
             start = time.perf_counter()
