@@ -19,7 +19,6 @@ from .sequence import (
 )
 from .partition import (
     EspReport,
-    Partition,
     class_power_sums,
     power_sum,
     power_sum_table,
@@ -38,7 +37,6 @@ from .factorization import (
     ptm_polynomial,
 )
 from .lehmer import (
-    ClassifiedMultiset,
     LehmerSpec,
     lehmer_expand,
     lehmer_verify,
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "ClassifiedMultiset",
     "CyclotomicElement",
     "DEFAULT_BUDGET",
     "DensePolynomial",
@@ -58,7 +55,6 @@ __all__ = [
     "LehmerSpec",
     "NotDivisibleError",
     "PTMParams",
-    "Partition",
     "ZeroSumForm",
     "ZeroSumVector",
     "binomial_product",

@@ -67,22 +67,20 @@ def _parse_int_list(text, what):
 def _cmd_ptm(args):
     params = PTMParams(args.p, args.n, args.budget)
     result = {"p": args.p, "n": args.n, "sequence": ptm_block(params)}
-    echo = {"p": args.p, "n": args.n, "format": args.format, "budget": args.budget}
-    return "ptm", echo, result, True
+    return {"n": args.n}, result, True
 
 
 def _cmd_partition(args):
     if args.check_beyond is not None and args.check_beyond < 0:
         raise ValueError(f"--check-beyond must be >= 0, got {args.check_beyond}")
     params = PTMParams.from_degree(args.p, args.m, args.budget)
-    part = prouhet_partition(params)
     through = args.m if args.check_beyond is None else max(args.m, args.check_beyond)
     report = verify_esp(params, through)
     assert len(report.power_sums) > args.m  # ESP holds through m <= through
     result = {
         "p": args.p,
         "m": args.m,
-        "classes": [list(cls) for cls in part.classes],
+        "classes": prouhet_partition(params),
         "power_sums": [[str(s) for s in row] for row in report.power_sums[: args.m + 1]],
         "esp_verified_through": report.equal_up_to,
     }
@@ -91,15 +89,8 @@ def _cmd_partition(args):
         result["first_violation"] = (
             list(report.first_violation) if report.first_violation else None
         )
-    echo = {
-        "p": args.p,
-        "m": args.m,
-        "check_beyond": args.check_beyond,
-        "format": args.format,
-        "budget": args.budget,
-    }
-    ok = report.equal_up_to >= args.m
-    return "partition", echo, result, ok
+    echo = {"m": args.m, "check_beyond": args.check_beyond}
+    return echo, result, report.equal_up_to >= args.m
 
 
 def _cmd_factor(args):
@@ -132,37 +123,26 @@ def _cmd_factor(args):
         "product_check": product_check,
         "constructions_agree": agree,
     }
-    echo = {
-        "p": args.p,
-        "n": args.n,
-        "mode": mode,
-        "coeffs": None if args.symbolic else args.coeffs,
-        "format": args.format,
-        "budget": args.budget,
-    }
-    return "factor", echo, result, product_check and agree
+    echo = {"n": args.n, "mode": mode, "coeffs": None if args.symbolic else args.coeffs}
+    return echo, result, product_check and agree
 
 
 def _cmd_lehmer(args):
     weights = _parse_int_list(args.mu, "--mu")
     spec = LehmerSpec(args.p, tuple(weights), args.budget)
-    multiset = lehmer_expand(spec)
+    classes = lehmer_expand(spec)
     report = lehmer_verify(spec)
     result = {
         "p": args.p,
         "mu": list(spec.mu),
-        "classes": [
-            [[str(value), mult] for value, mult in cls] for cls in multiset.classes
-        ],
+        "classes": [[[str(value), mult] for value, mult in cls] for cls in classes],
         "power_sums": [[str(s) for s in row] for row in report.power_sums],
         "equal_up_to": report.equal_up_to,
         "first_violation": (
             list(report.first_violation) if report.first_violation else None
         ),
     }
-    echo = {"p": args.p, "mu": args.mu, "format": args.format, "budget": args.budget}
-    ok = report.first_violation is None
-    return "lehmer", echo, result, ok
+    return {"mu": args.mu}, result, report.first_violation is None
 
 
 def _cmd_identities(args):
@@ -198,8 +178,7 @@ def _cmd_identities(args):
         "first_nonvanishing": first_nonvanishing,
         "all_pass": identity_ok and vanish_ok,
     }
-    echo = {"p": args.p, "m": args.m, "format": args.format, "budget": args.budget}
-    return "identities", echo, result, identity_ok and vanish_ok
+    return {"m": args.m}, result, identity_ok and vanish_ok
 
 
 # Each renderer gives a command's csv lines (csv=True) or plain lines.
@@ -295,26 +274,20 @@ def _render_identities(result, csv):
     return lines
 
 
-_RENDERERS = {
-    "ptm": _render_ptm,
-    "partition": _render_partition,
-    "factor": _render_factor,
-    "lehmer": _render_lehmer,
-    "identities": _render_identities,
-}
-
-
-def _emit(fmt, command, echo, result, elapsed_ms):
-    if fmt == "json":
+def _emit(args, echo, result, elapsed_ms):
+    """Print a command's result; the json params are the common options
+    around the command's own `echo`."""
+    if args.format == "json":
+        params = {"p": args.p, **echo, "format": args.format, "budget": args.budget}
         envelope = {
-            "command": command,
-            "params": echo,
+            "command": args.command,
+            "params": params,
             "result": result,
             "elapsed_ms": elapsed_ms,
         }
         print(json.dumps(envelope))
     else:
-        print("\n".join(_RENDERERS[command](result, fmt == "csv")))
+        print("\n".join(args.render(result, args.format == "csv")))
 
 
 def build_parser():
@@ -338,18 +311,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help):
-        """A subcommand taking the common options and the base --p."""
+    def command(name, handler, render, help):
+        """A subcommand taking the common options and the base --p; handler
+        gives its (echo, result, ok), render its csv or plain lines."""
         cmd = sub.add_parser(name, parents=[common], help=help)
         cmd.add_argument("--p", type=int, required=True, help="base, >= 2")
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, render=render)
         return cmd
 
-    ptm = command("ptm", _cmd_ptm, "digit-sum residue sequence block")
+    ptm = command("ptm", _cmd_ptm, _render_ptm, "digit-sum residue sequence block")
     ptm.add_argument("--n", type=int, required=True, help="block exponent, >= 1")
 
     part = command(
-        "partition", _cmd_partition, "digit-sum partition with power-sum table and verification"
+        "partition", _cmd_partition, _render_partition,
+        "digit-sum partition with power-sum table and verification",
     )
     part.add_argument("--m", type=int, required=True, help="guaranteed agreement degree, >= 0")
     part.add_argument(
@@ -361,7 +336,8 @@ def build_parser():
     )
 
     factor = command(
-        "factor", _cmd_factor, "factor the block polynomial into cofactor times binomial product"
+        "factor", _cmd_factor, _render_factor,
+        "factor the block polynomial into cofactor times binomial product",
     )
     factor.add_argument("--n", type=int, required=True, help="block exponent, >= 1")
     group = factor.add_mutually_exclusive_group(required=True)
@@ -373,12 +349,13 @@ def build_parser():
     )
 
     lehmer = command(
-        "lehmer", _cmd_lehmer, "weighted multiset classes with power-sum verification"
+        "lehmer", _cmd_lehmer, _render_lehmer,
+        "weighted multiset classes with power-sum verification",
     )
     lehmer.add_argument("--mu", required=True, help="comma-separated positive integer weights")
 
     identities = command(
-        "identities", _cmd_identities,
+        "identities", _cmd_identities, _render_identities,
         "root-of-unity product identity and weighted-sum vanishing checks",
     )
     identities.add_argument("--m", type=int, required=True, help="top degree, >= 0")
@@ -394,7 +371,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        command, echo, result, ok = args.handler(args)
+        echo, result, ok = args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -406,7 +383,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    _emit(args.format, command, echo, result, elapsed_ms)
+    _emit(args, echo, result, elapsed_ms)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

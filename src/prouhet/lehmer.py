@@ -64,22 +64,13 @@ class LehmerSpec:
         return self.p ** len(self.mu)
 
 
-@dataclass(frozen=True)
-class ClassifiedMultiset:
-    """p value multisets, each a tuple of (value, multiplicity) pairs sorted
-    by value; total multiplicity across classes is p**(M+1)."""
-
-    p: int
-    classes: tuple
-
-
 def lehmer_expand(spec):
-    """The weighted values of all p**(M+1) digit tuples by digit-sum class,
-    with multiplicities: weighted_classes, counted and sorted."""
+    """The weighted values of all p**(M+1) digit tuples by digit-sum class:
+    p tuples of (value, multiplicity) pairs sorted by value, whose
+    multiplicities total p**(M+1).  It is weighted_classes, counted and
+    sorted."""
     classes = weighted_classes(spec.p, spec.mu)
-    return ClassifiedMultiset(
-        spec.p, tuple(tuple(sorted(Counter(values).items())) for values in classes)
-    )
+    return tuple(tuple(sorted(Counter(values).items())) for values in classes)
 
 
 def _class_moments(pairs, degree):
@@ -97,8 +88,7 @@ def _class_moments(pairs, degree):
 def lehmer_verify(spec):
     """Check equal multiset power sums across all p classes for m = 0..M,
     as an EspReport."""
-    multiset = lehmer_expand(spec)
-    rows = zip(*(_class_moments(cls, spec.degree) for cls in multiset.classes))
+    rows = zip(*(_class_moments(cls, spec.degree) for cls in lehmer_expand(spec)))
     return scan_power_sums(rows, spec.degree)
 
 

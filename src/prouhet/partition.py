@@ -8,11 +8,11 @@ up to n - 1 (all sums are exact big integers, with 0**0 = 1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 # ptm_term stays importable from here: perfbench/spans.py wraps it by this name.
-from .sequence import PTMParams, ptm_term  # noqa: F401
+from .sequence import ptm_term  # noqa: F401
 
 
 def weighted_classes(p, weights):
@@ -24,37 +24,26 @@ def weighted_classes(p, weights):
     after weight mu, class (k + d) mod p holds the previous class k shifted
     by d*mu, d = 0..p-1.  With weights (1, p, ..., p**(n-1)) each list is
     sorted and the lists are the digit-sum partition of {0, ..., p**n - 1}.
+    A level shifts only the classes that hold values (class 0 alone at the
+    first weight), in d-outer order, which keeps base-power lists sorted.
     """
     classes = [[0]] + [[] for _ in range(p - 1)]
     for mu in weights:
         grown = [list(values) for values in classes]
+        filled = [(k, values) for k, values in enumerate(classes) if values]
         for d in range(1, p):
             shift = d * mu
-            for k, values in enumerate(classes):
+            for k, values in filled:
                 grown[(k + d) % p] += [v + shift for v in values]
         classes = grown
     return classes
 
 
-@dataclass(frozen=True)
-class Partition:
-    """The p digit-sum classes S_0, ..., S_{p-1} of {0, ..., p**n - 1}.
-
-    Determined by its params: class k holds every n with t(n) = k, listed
-    by weighted_classes at the base-power weights.
-    """
-
-    params: PTMParams
-    classes: tuple = field(init=False)
-
-    def __post_init__(self):
-        classes = weighted_classes(self.params.p, self.params.weights)
-        object.__setattr__(self, "classes", tuple(map(tuple, classes)))
-
-
 def prouhet_partition(params):
-    """The digit-sum partition of {0, ..., p**n - 1}."""
-    return Partition(params)
+    """The digit-sum partition of {0, ..., p**n - 1}: p sorted tuples,
+    tuple k holding every n with t(n) = k.  It is weighted_classes at the
+    base-power weights, so the params alone determine it."""
+    return tuple(map(tuple, weighted_classes(params.p, params.weights)))
 
 
 def power_sum(values, exponent):

@@ -78,12 +78,13 @@ def ptm_term(n, p):
 def ptm_block(params):
     """The first p**n sequence terms, by the digit recurrence
     t(i) = (t(i // p) + i % p) mod p: each pass appends one low digit, so the
-    term at q*p + d is row t(q) of the addition table mod p, at column d."""
-    p = params.p
-    table = [[(t + d) % p for d in range(p)] for t in range(p)]
-    block = [0]
-    for _ in range(params.n):
-        block = [term for t in block for term in table[t]]
+    term at q*p + d is row t(q) of the addition table mod p, at column d.
+    The first pass gives 0, ..., p-1; the table is built only for a second."""
+    block = list(range(params.p))
+    if params.n > 1:
+        table = [block[t:] + block[:t] for t in block]  # row t: (t + d) mod p
+        for _ in range(params.n - 1):
+            block = [term for t in block for term in table[t]]
     return block
 
 

@@ -177,10 +177,10 @@ def test_criterion_7_lehmer_sweep(capsys):
                     assert result.first_violation is None, (p, mu, result)
                     assert result.equal_up_to == m
                 # base-power weights reproduce the digit-sum partition classwise
-                multiset = lehmer_expand(LehmerSpec.base_powers(p, m))
+                classes = lehmer_expand(LehmerSpec.base_powers(p, m))
                 part = prouhet_partition(PTMParams.from_degree(p, m))
-                assert all(mult == 1 for cls in multiset.classes for _, mult in cls)
-                assert tuple(tuple(v for v, _ in cls) for cls in multiset.classes) == part.classes
+                assert all(mult == 1 for cls in classes for _, mult in cls)
+                assert tuple(tuple(v for v, _ in cls) for cls in classes) == part
 
     with capsys.disabled():
         report("criterion 7: weighted multisets p=2..5 m=0..3, 10 random mu (exact)", check)
@@ -192,12 +192,12 @@ def test_criterion_8_three_way_oracle_agreement(capsys):
             for m in range(0, 4):
                 params = PTMParams.from_degree(p, m)
                 table = power_sum_table(params)
-                multiset = lehmer_expand(LehmerSpec.base_powers(p, m))
+                classes = lehmer_expand(LehmerSpec.base_powers(p, m))
                 for exp in range(m + 1):
                     direct = table[exp]
                     # Lehmer enumeration at base-power weights
                     via_lehmer = tuple(
-                        multiset_power_sum(cls, exp) for cls in multiset.classes
+                        multiset_power_sum(cls, exp) for cls in classes
                     )
                     assert via_lehmer == direct, (p, m, exp)
                     # indicator-weighted sums give every pairwise difference

@@ -38,7 +38,7 @@ def test_library_example_values_match_their_comments():
     comments = dict(re.findall(r"^(\w+) = .*?# (.*)$", block, re.M))
     assert comments["table"] == "((3,3,3), (12,12,12))"
     assert namespace["table"] == literal_eval(comments["table"])
-    assert namespace["part"].classes == literal_eval(comments["part"])
+    assert namespace["part"] == literal_eval(comments["part"])
     fields = re.findall(r"(\w+)=(\(.*?\)|\w+)", comments["report"])
     assert [key for key, _ in fields] == ["equal_up_to", "first_violation"]
     for key, value in fields:

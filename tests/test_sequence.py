@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -82,6 +83,18 @@ class TestPtmBlock:
     def test_recursive_construction_agrees(self, p, n):
         params = PTMParams(p, n)
         assert ptm_block_recursive(params) == ptm_block(params)
+
+    def test_one_level_block_builds_no_addition_table(self):
+        # A p x p table for p = 3000 would take about 340 MB; the block
+        # itself is 3000 small ints.
+        tracemalloc.start()
+        try:
+            block = ptm_block(PTMParams(3000, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block == list(range(3000))
+        assert peak < 10 * 2**20
 
 
 class TestPTMParams:
