@@ -8,8 +8,6 @@ a division that leaves a remainder (NotDivisibleError, which means a bug),
 2 usage or validation error, 3 enumeration budget exceeded.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -49,6 +47,11 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+# The text of the binomial product's coefficients, which are -1, 0 and 1;
+# any other value is a bug, and looking it up raises KeyError.
+_UNIT_TEXT = {-1: "-1", 0: "0", 1: "1"}
 
 
 def _columns_payload(columns, ring):
@@ -112,13 +115,14 @@ def _cmd_factor(args):
     product_check = times_binomial_columns(params, cofactor) == block
     agree = cofactor == recursive
     vector_payload = _columns_payload(columns, args.symbolic)
+    (divisor,) = times_binomial_columns(params, [[1]])
     result = {
         "p": args.p,
         "n": args.n,
         "mode": mode,
         "vector": vector_payload,
         "ptm_poly": list(map(vector_payload.__getitem__, labels[: len(block[0])])),
-        "divisor": _columns_payload(times_binomial_columns(params, [[1]]), False),
+        "divisor": list(map(_UNIT_TEXT.__getitem__, divisor)),
         "cofactor": _columns_payload(cofactor, args.symbolic),
         "product_check": product_check,
         "constructions_agree": agree,
@@ -285,7 +289,8 @@ def _emit(args, echo, result, elapsed_ms):
             "result": result,
             "elapsed_ms": elapsed_ms,
         }
-        print(json.dumps(envelope))
+        # Every envelope is a fresh tree, so no cycle can occur.
+        print(json.dumps(envelope, check_circular=False))
     else:
         print("\n".join(args.render(result, args.format == "csv")))
 

@@ -20,8 +20,6 @@ coordinate columns; the ring-generic DensePolynomial multiply and
 exact_div are the reference for those kernels.  All arithmetic is exact.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 

@@ -12,12 +12,9 @@ Convention used throughout: a weight vector of length M+1 contributes
 exactly one product factor per weight (M+1 factors, strides p**0..p**M).
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .factorization import block_columns
 # ptm_polynomial stays importable from here: perfbench/spans.py wraps it by this name.
@@ -27,24 +24,23 @@ from .rings import CyclotomicElement, reduce_zero_sum, symbol_coordinates
 from .sequence import DEFAULT_BUDGET, PTMParams, ptm_block
 
 
-@dataclass(frozen=True)
-class LehmerSpec:
-    """Base p >= 2 and positive integer weights (mu_0, ..., mu_M)."""
+class LehmerSpec(namedtuple("LehmerSpec", "p mu budget")):
+    """Base p >= 2 and positive integer weights (mu_0, ..., mu_M), held as
+    a tuple; an immutable value, checked on construction."""
 
-    p: int
-    mu: tuple
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(self.mu))
-        if not self.mu:
+    def __new__(cls, p, mu, budget=DEFAULT_BUDGET):
+        mu = tuple(mu)
+        if not mu:
             raise ValueError("at least one weight is required")
-        for w in self.mu:
+        for w in mu:
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
         # The p**(M+1) tuples are a block of M+1 digits: PTMParams checks
         # the base, the budget and that count.
-        PTMParams(self.p, len(self.mu), self.budget)
+        PTMParams(p, len(mu), budget)
+        return super().__new__(cls, p, mu, budget)
 
     @classmethod
     def base_powers(cls, p, degree, budget=DEFAULT_BUDGET):

@@ -5,11 +5,8 @@ block into p classes of equal size whose power sums agree for every degree
 up to n - 1 (all sums are exact big integers, with 0**0 = 1).
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 # ptm_term stays importable from here: perfbench/spans.py wraps it by this name.
 from .sequence import ptm_term  # noqa: F401
@@ -62,27 +59,28 @@ def class_power_sums(p, weights):
     whose class (k + d) mod p holds the previous class k shifted by d*w,
     d = 0..p-1, so by the binomial theorem
     S'_{(k+d) mod p}(r) += sum_i C(r, i) * (d*w)**(r-i) * S_k(i).
-    Rows are built on demand; row r costs O(len(weights) * p**2 * r)
-    big-integer operations.  With weights (1, p, ..., p**(n-1)) the classes
-    are the digit-sum partition of {0, ..., p**n - 1}.
+    Rows are built on demand; at each weight, row r makes p - 1 passes over
+    the nonzero entries of rows 0..r, at most O(len(weights) * p**2 * r)
+    big-integer operations in all.  With weights (1, p, ..., p**(n-1)) the
+    classes are the digit-sum partition of {0, ..., p**n - 1}.
     """
     weights = tuple(weights)
-    # history[j] holds rows 0..r of the classes built from weights[:j].
+    # history[j] holds rows 0..r of the classes built from weights[:j], each
+    # as its nonzero (k, S_k) pairs: row 0 before the first weight is one pair.
     history = [[] for _ in weights]
     binomials = [1]  # row r of Pascal's triangle
     for r in itertools.count():
         row = [1 if r == 0 else 0] + [0] * (p - 1)  # no weights: the value 0
         for w, rows in zip(weights, history):
-            rows.append(row)
+            rows.append([(k, s) for k, s in enumerate(row) if s])
             grown = list(row)
             for d in range(1, p):
                 shift = d * w
                 power = 1
                 for i in range(r, -1, -1):
                     coeff = binomials[i] * power
-                    for k, s in enumerate(rows[i]):
-                        if s:
-                            grown[(k + d) % p] += coeff * s
+                    for k, s in rows[i]:
+                        grown[(k + d) % p] += coeff * s
                     power *= shift
             row = grown
         yield tuple(row)
@@ -94,19 +92,17 @@ def power_sum_table(params):
     return tuple(itertools.islice(class_power_sums(params.p, params.weights), params.n))
 
 
-@dataclass(frozen=True)
-class EspReport:
+class EspReport(namedtuple("EspReport", "equal_up_to first_violation power_sums")):
     """Result of an equal-power-sums check.
 
     equal_up_to is the largest degree d <= through_degree with all classes
     agreeing for every exponent <= d (-1 if they already differ in size);
-    first_violation is the lexicographically first failing (m, j, k);
-    power_sums holds the rows scanned, degree 0 through the last one read.
+    first_violation is the lexicographically first failing (m, j, k), or
+    None; power_sums holds the rows scanned, degree 0 through the last one
+    read.
     """
 
-    equal_up_to: int
-    first_violation: Optional[tuple]
-    power_sums: tuple
+    __slots__ = ()
 
 
 def scan_power_sums(rows, through_degree):

@@ -16,8 +16,6 @@ arithmetic for both:
 All elements are immutable values, safe to share across threads.
 """
 
-from __future__ import annotations
-
 import operator
 
 

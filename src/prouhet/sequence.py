@@ -4,11 +4,9 @@ The sequence value at n is the sum of the base-p digits of n reduced mod p;
 the classical 0,1,1,0,1,0,0,1,... sequence is the case p = 2.
 """
 
-from __future__ import annotations
-
 import functools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rings import ZeroSumForm, check_base, omega_pow
 
@@ -19,27 +17,26 @@ class BudgetExceededError(Exception):
     """An enumeration would exceed the configured term budget."""
 
 
-@dataclass(frozen=True)
-class PTMParams:
-    """Base p and block exponent n; a block spans the first p**n integers."""
+class PTMParams(namedtuple("PTMParams", "p n budget")):
+    """Base p and block exponent n; a block spans the first p**n integers.
 
-    p: int
-    n: int
-    budget: int = DEFAULT_BUDGET
+    An immutable value, checked on construction: the base, n >= 1, and a
+    block of p**n terms within the budget."""
 
-    def __post_init__(self):
-        check_base(self.p)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"block exponent n must be an integer >= 1, got {self.n!r}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be positive, got {self.budget!r}")
+    __slots__ = ()
+
+    def __new__(cls, p, n, budget=DEFAULT_BUDGET):
+        check_base(p)
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"block exponent n must be an integer >= 1, got {n!r}")
+        if budget < 1:
+            raise ValueError(f"budget must be positive, got {budget!r}")
         count = 1
-        for _ in range(self.n):  # multiplied up with an early exit: no huge power is built
-            count *= self.p
-            if count > self.budget:
-                raise BudgetExceededError(
-                    f"block of {self.p}**{self.n} terms exceeds budget {self.budget}"
-                )
+        for _ in range(n):  # multiplied up with an early exit: no huge power is built
+            count *= p
+            if count > budget:
+                raise BudgetExceededError(f"block of {p}**{n} terms exceeds budget {budget}")
+        return super().__new__(cls, p, n, budget)
 
     @classmethod
     def from_degree(cls, p, degree, budget=DEFAULT_BUDGET):

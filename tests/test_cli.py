@@ -422,10 +422,32 @@ class TestIdentitiesCommand:
 
         for cls in (CyclotomicElement, ZeroSumForm):
             monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
-        monkeypatch.setattr(PTMParams, "__post_init__", counted(PTMParams.__post_init__))
+        new_params = PTMParams.__new__
+
+        def counted_new(cls, *args):
+            built.append(cls.__name__)
+            return new_params(cls, *args)
+
+        monkeypatch.setattr(PTMParams, "__new__", counted_new)
         assert main(["identities", "--p", "3", "--m", str(m)]) == 0
         assert built == ["PTMParams"]
         assert json.loads(capsys.readouterr().out)["result"]["all_pass"] is True
+
+
+class TestColdStart:
+    def test_parser_loads_no_annotation_machinery(self):
+        # -S skips the site module, whose .pth files may import typing on
+        # their own; src goes on sys.path by hand instead.
+        src = Path(prouhet.cli.__file__).resolve().parents[1]
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import prouhet.cli; "
+            "prouhet.cli.build_parser(); "
+            "print(*sorted({'dataclasses', 'inspect', 'typing', '__future__'} & set(sys.modules)))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+        )
+        assert run.stdout.split() == []
 
 
 class TestHarness:

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 import time
 from collections import Counter
 
 import pytest
 
 from prouhet import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CyclotomicElement,
     EspReport,
@@ -100,6 +102,31 @@ class TestLehmerSpec:
         with pytest.raises(BudgetExceededError):
             LehmerSpec.base_powers(3, 100000, budget=10)
         assert time.perf_counter() - start < 1.0
+
+    def test_value_type(self):
+        spec = LehmerSpec(2, [1, 2])
+        assert spec.mu == (1, 2)
+        assert repr(spec) == "LehmerSpec(p=2, mu=(1, 2), budget=10000000)"
+        assert spec == LehmerSpec(2, (1, 2)) == LehmerSpec(2, iter([1, 2]), DEFAULT_BUDGET)
+        assert hash(spec) == hash(LehmerSpec(2, (1, 2)))
+        assert spec != LehmerSpec(2, (2, 1))
+        for field in ("p", "mu", "budget", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(spec, field, (3,))
+
+    @pytest.mark.parametrize(
+        "args,error,message",
+        [
+            ((2, []), ValueError, "at least one weight is required"),
+            ((2, [1, 0]), ValueError, "weights must be positive integers, got 0"),
+            ((2, [1.5]), ValueError, "weights must be positive integers, got 1.5"),
+            ((1, [1]), ValueError, "base p must be an integer >= 2, got 1"),
+            ((2, (1,) * 3, 7), BudgetExceededError, "block of 2**3 terms exceeds budget 7"),
+        ],
+    )
+    def test_validation_messages(self, args, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            LehmerSpec(*args)
 
     def test_base_powers_keeps_validation_order(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from prouhet import (
+    EspReport,
     PTMParams,
     ZeroSumVector,
     class_power_sums,
@@ -14,6 +15,7 @@ from prouhet import (
     verify_esp,
     weighted_classes,
 )
+from prouhet.cli import build_parser
 
 from oracles import classes_by_label, product_value_lists, weighted_power_sum
 from randomized import random_cases
@@ -153,6 +155,44 @@ class TestVerifyEsp:
         assert verify_esp(PTMParams.from_degree(p, m), m).first_violation is None
 
 
+class TestEspReport:
+    def test_value_type(self):
+        report = verify_esp(PTMParams.from_degree(2, 0), 1)
+        assert report == EspReport(0, (1, 0, 1), ((1, 1), (0, 1)))
+        assert repr(report) == (
+            "EspReport(equal_up_to=0, first_violation=(1, 0, 1), power_sums=((1, 1), (0, 1)))"
+        )
+        assert hash(report) == hash(EspReport(0, (1, 0, 1), ((1, 1), (0, 1))))
+        assert report != EspReport(0, None, ((1, 1), (0, 1)))
+        for field in ("equal_up_to", "first_violation", "power_sums", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(report, field, None)
+
+    @random_cases
+    def test_holds_through_n_minus_1_and_fails_at_n(self, rng):
+        """ESP of the digit-sum partition of a random block is exact: the
+        report, read past the guaranteed degree as --check-beyond asks,
+        matches brute-force power sums of the labelled classes."""
+        p = rng.randint(2, 7)
+        n = rng.randint(1, {2: 10, 3: 6, 4: 5, 5: 4, 6: 4, 7: 3}[p])
+        params = PTMParams(p, n)
+        args = build_parser().parse_args(
+            ["partition", "--p", str(p), "--m", str(n - 1), "--check-beyond", str(n)]
+        )
+        _, result, ok = args.handler(args)
+        assert ok
+        assert result["esp_verified_through"] == n - 1
+        assert result["first_violation"][0] == n
+        classes = classes_by_label(params)
+        sums = [[power_sum(cls, r) for cls in classes] for r in range(n + 1)]
+        assert all(len(set(row)) == 1 for row in sums[:n]), (p, n)
+        assert len(set(sums[n])) > 1, (p, n)
+        report = verify_esp(params, n)
+        assert report.power_sums == tuple(map(tuple, sums))
+        first_differing = next(k for k, s in enumerate(sums[n]) if s != sums[n][0])
+        assert report.first_violation == (n, 0, first_differing)
+
+
 class TestCrossOracle:
     @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (4, 1), (5, 1)])
     def test_indicator_vectors_match_direct_sums(self, p, m):
@@ -181,6 +221,14 @@ class TestClassPowerSums:
         rows = itertools.islice(class_power_sums(p, weights), through + 1)
         for r, row in enumerate(rows):
             assert row == tuple(power_sum(cls, r) for cls in classes), (p, m, r)
+
+    def test_first_rows_skip_zero_entries(self):
+        # Row 0 before the first weight has one nonzero entry, so the first
+        # rows of a single weight cost O(p), not p**2.
+        start = time.perf_counter()
+        rows = list(itertools.islice(class_power_sums(5000, (1,)), 2))
+        assert time.perf_counter() - start < 0.5
+        assert rows == [(1,) * 5000, tuple(range(5000))]
 
     def test_no_weights_is_the_single_value_zero(self):
         rows = list(itertools.islice(class_power_sums(3, []), 3))

@@ -4,6 +4,8 @@ import pytest
 
 from prouhet import CyclotomicElement, DensePolynomial, ZeroSumForm, omega_pow
 
+from randomized import random_cases
+
 
 def naive_reduce(p, coeffs):
     """Independent reduction oracle: fold exponents mod p (w^p = 1), then
@@ -252,3 +254,32 @@ class TestSharedCoordinates:
         assert ring.basis(p, p - 1).coeffs == (-1,) * (p - 1)
         assert type(ring.basis(p, 0)) is ring
         assert type(ZeroSumForm.generator(p, 0)) is ZeroSumForm
+
+
+class TestRingLaws:
+    """The ring and module laws on random elements of a random base, drawn
+    by tests/randomized.py."""
+
+    @random_cases
+    def test_cyclotomic_multiplication_associates_and_distributes(self, rng):
+        p = rng.randint(2, 9)
+        x, y, z = (random_cyclo(rng, p, bound=50) for _ in range(3))
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert (x + y) * z == x * z + y * z
+
+    @random_cases
+    def test_zero_sum_form_addition_and_integer_scaling(self, rng):
+        p = rng.randint(2, 9)
+        f, g, h = (random_form(rng, p, bound=50) for _ in range(3))
+        c, d = rng.randint(-50, 50), rng.randint(-50, 50)
+        zero = ZeroSumForm.zero(p)
+        assert (f + g) + h == f + (g + h)
+        assert f + g == g + f
+        assert f + zero == f == f + 0
+        assert f + (-f) == zero == f - f
+        assert c * (f + g) == c * f + c * g
+        assert (c + d) * f == c * f + d * f
+        assert (c * d) * f == c * (d * f)
+        assert 1 * f == f
+        assert 0 * f == zero

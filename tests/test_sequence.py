@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from prouhet import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CyclotomicElement,
     LehmerSpec,
@@ -154,6 +155,29 @@ class TestPTMParams:
         params = PTMParams.from_degree(3, 2)
         assert params.n == 3
         assert params.degree == 2
+
+    def test_value_type(self):
+        params = PTMParams(3, 2)
+        assert repr(params) == "PTMParams(p=3, n=2, budget=10000000)"
+        assert params == PTMParams(3, 2, DEFAULT_BUDGET) == PTMParams.from_degree(3, 1)
+        assert hash(params) == hash(PTMParams(3, 2))
+        assert params != PTMParams(3, 2, 10)
+        for field in ("p", "n", "budget", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(params, field, 4)
+
+    @pytest.mark.parametrize(
+        "args,error,message",
+        [
+            ((2, 0), ValueError, "block exponent n must be an integer >= 1, got 0"),
+            ((2, 1.0), ValueError, "block exponent n must be an integer >= 1, got 1.0"),
+            ((2, 1, 0), ValueError, "budget must be positive, got 0"),
+            ((2, 4, 15), BudgetExceededError, "block of 2**4 terms exceeds budget 15"),
+        ],
+    )
+    def test_validation_messages(self, args, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            PTMParams(*args)
 
 
 class TestZeroSumVector:
