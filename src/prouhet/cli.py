@@ -5,14 +5,17 @@ Output formats: json (default, an envelope with the payload under
 csv, and plain text.  Big integers always serialize as decimal strings.
 Exit codes: 0 success / all checks pass, 1 verification failure, including
 a division that leaves a remainder (NotDivisibleError, which means a bug),
-2 usage or validation error, 3 enumeration budget exceeded.
+2 usage or validation error, 3 enumeration budget exceeded, 141 stdout
+closed before the output was written.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 import time
+from itertools import chain
 
 # binomial_product, cofactor_by_division, cofactor_recursive,
 # first_coefficient_mismatch and ptm_polynomial stay importable from here:
@@ -47,6 +50,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as the shell reports `yes | head -1`
 
 
 # The text of the binomial product's coefficients, which are -1, 0 and 1;
@@ -217,11 +221,23 @@ def _violation_line(csv, violation, checked_through=None):
     return f"first violation at m={m} between classes {j} and {k}"
 
 
+# (index, term) pairs per % format of the ptm csv body.  One format over the
+# whole block would hold every pair's index object and two tuple slots at
+# once, and raise a run's peak memory; a chunk this size holds about 200 KB.
+_CSV_CHUNK = 4096
+
+
 def _render_ptm(result, csv):
+    sequence = result["sequence"]
     if csv:
-        return ["n,value"] + [f"{i},{v}" for i, v in enumerate(result["sequence"])]
+        lines = ["n,value"]
+        for start in range(0, len(sequence), _CSV_CHUNK):
+            part = sequence[start:start + _CSV_CHUNK]
+            pairs = tuple(chain.from_iterable(enumerate(part, start)))
+            lines.append("\n".join(["%d,%d"] * len(part)) % pairs)
+        return lines
     texts = [str(t) for t in range(result["p"])]
-    return [",".join(map(texts.__getitem__, result["sequence"]))]
+    return [",".join(map(texts.__getitem__, sequence))]
 
 
 def _render_partition(result, csv):
@@ -388,7 +404,17 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    _emit(args, echo, result, elapsed_ms)
+    try:
+        _emit(args, echo, result, elapsed_ms)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader left (as `head` does).  Point stdout at devnull so the
+        # flush at exit stays quiet: the "Note on SIGPIPE" in Python's
+        # signal docs.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

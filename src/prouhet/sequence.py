@@ -7,6 +7,7 @@ the classical 0,1,1,0,1,0,0,1,... sequence is the case p = 2.
 import functools
 import operator
 from collections import namedtuple
+from itertools import chain
 
 from .rings import ZeroSumForm, check_base, omega_pow
 
@@ -73,16 +74,33 @@ def ptm_term(n, p):
 
 
 def ptm_block(params):
-    """The first p**n sequence terms, by the digit recurrence
-    t(i) = (t(i // p) + i % p) mod p: each pass appends one low digit, so the
-    term at q*p + d is row t(q) of the addition table mod p, at column d.
-    The first pass gives 0, ..., p-1; the table is built only for a second."""
-    block = list(range(params.p))
-    if params.n > 1:
-        table = [block[t:] + block[:t] for t in block]  # row t: (t + d) mod p
-        for _ in range(params.n - 1):
-            block = [term for t in block for term in table[t]]
-    return block
+    """The first p**n sequence terms, from two half-blocks.
+
+    Split the digits at b = n // 2: for r < p**b,
+    t(q*p**b + r) = (t(q) + t(r)) mod p.  So the block is the low block
+    (b digits) shifted by t(q), copied once for each term q of the high
+    block (n - b digits), and both half-blocks are built by the same rule.
+    The p shifted copies of the low block come from the addition table
+    mod p; the block itself is assembled by list copies alone.  A block of
+    one digit is 0, ..., p-1 and builds no table."""
+    digits = list(range(params.p))
+    if params.n == 1:
+        return digits
+    table = [digits[t:] + digits[:t] for t in digits]  # row t: (t + d) mod p
+    return _half_block_join(params.n, table)
+
+
+def _half_block_join(n, table):
+    """The n-digit block, for n >= 2, by the split of ptm_block; row 0 of the
+    addition table is the one-digit block, and row t its copy shifted by t."""
+    b = n // 2
+    if b == 1:
+        low, shifted = table[0], table
+    else:
+        low = _half_block_join(b, table)
+        shifted = [list(map(row.__getitem__, low)) for row in table]
+    high = low if n == 2 * b else _half_block_join(n - b, table)
+    return list(chain.from_iterable(map(shifted.__getitem__, high)))
 
 
 def ptm_block_recursive(params):

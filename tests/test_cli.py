@@ -23,6 +23,7 @@ from prouhet import (
     lehmer_weighted_sum,
     product_identity_sides,
     ptm_block,
+    ptm_term,
 )
 from prouhet.cli import main
 
@@ -70,6 +71,13 @@ class TestPtmCommand:
         code = main(["ptm", "--p", "3", "--n", "1", "--format", "plain"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "0,1,2"
+
+    @pytest.mark.parametrize("p,n", [(2, 12), (2, 13), (3, 9)])
+    def test_csv_rows_across_format_chunks(self, capsys, p, n):
+        # One chunk exactly, two chunks, and a short last chunk.
+        assert main(["ptm", "--p", str(p), "--n", str(n), "--format", "csv"]) == 0
+        rows = [f"{i},{ptm_term(i, p)}" for i in range(p**n)]
+        assert capsys.readouterr().out == "\n".join(["n,value"] + rows) + "\n"
 
     def test_invalid_base(self, capsys):
         code = main(["ptm", "--p", "1", "--n", "3"])
@@ -489,6 +497,20 @@ class TestHarness:
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["params"]["format"] == "json"
         assert envelope["result"]["sequence"] == [0, 1, 1, 0, 1, 0, 0, 1]
+
+    def test_closed_stdout_pipe_exits_141_quietly(self):
+        # About 2.4 MB of csv, more than a pipe buffers, so the command is
+        # still writing when the reader closes its end after one line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "prouhet", "ptm", "--p", "2", "--n", "18", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"n,value\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert stderr == b""
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import re
+import sys
 import time
 import tracemalloc
 
@@ -80,10 +81,29 @@ class TestPtmBlock:
         for k in range(p):
             assert block.count(k) == p ** (n - 1)
 
-    @pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 4), (4, 3), (5, 3), (7, 2)])
+    # Every block up to 3**10 terms for p = 2..5: even and odd n, a one-digit
+    # low half (n = 2, 3) and deeper splits.
+    @pytest.mark.parametrize(
+        "p,n", [(p, n) for p in range(2, 6) for n in range(1, 17) if p**n <= 3**10] + [(7, 2)]
+    )
     def test_recursive_construction_agrees(self, p, n):
         params = PTMParams(p, n)
         assert ptm_block_recursive(params) == ptm_block(params)
+
+    def test_wide_base_matches_per_term_oracle(self):
+        assert ptm_block(PTMParams(300, 2)) == [ptm_term(i, 300) for i in range(300**2)]
+
+    def test_traced_peak_is_the_block_itself(self):
+        # The block is copied together from short half-blocks, so nothing
+        # of the block's own size is built besides the returned list.
+        tracemalloc.start()
+        try:
+            block = ptm_block(PTMParams(2, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block) == 2**20
+        assert peak <= 1.1 * sys.getsizeof(block)
 
     def test_one_level_block_builds_no_addition_table(self):
         # A p x p table for p = 3000 would take about 340 MB; the block
