@@ -7,7 +7,7 @@ sequences, partitions, polynomial factorization, and the weighted
 (Lehmer-style) multiset construction.
 """
 
-from .rings import CyclotomicElement, ZeroSumForm, omega_pow
+from .rings import CyclotomicElement, ZeroSumForm
 from .sequence import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -33,7 +33,6 @@ from .factorization import (
     cofactor_by_division,
     cofactor_recursive,
     first_coefficient_mismatch,
-    one_minus_x_pow,
     ptm_polynomial,
 )
 from .lehmer import (
@@ -65,8 +64,6 @@ __all__ = [
     "lehmer_expand",
     "lehmer_verify",
     "lehmer_weighted_sum",
-    "omega_pow",
-    "one_minus_x_pow",
     "power_sum",
     "power_sum_table",
     "product_identity_sides",

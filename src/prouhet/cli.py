@@ -6,7 +6,9 @@ csv, and plain text.  Big integers always serialize as decimal strings.
 Exit codes: 0 success / all checks pass, 1 verification failure, including
 a division that leaves a remainder (NotDivisibleError, which means a bug),
 2 usage or validation error, 3 enumeration budget exceeded, 141 stdout
-closed before the output was written.
+closed before the output was written.  `factor` and `identities` compute
+on integer columns and build no ring value: `factor --symbolic` reads the
+one symbol table, rings.symbol_columns, and `--coeffs` the given ints.
 """
 
 import argparse
@@ -23,27 +25,15 @@ from itertools import chain
 from .factorization import binomial_product, cofactor_by_division  # noqa: F401
 from .factorization import cofactor_recursive, ptm_polynomial  # noqa: F401
 from .factorization import first_coefficient_mismatch  # noqa: F401
-from .factorization import (
-    NotDivisibleError,
-    block_columns,
-    division_columns,
-    recursive_column,
-    strip_zero_rows,
-    times_binomial_columns,
-    vector_columns,
-)
+from .factorization import NotDivisibleError, block_columns, division_columns
+from .factorization import recursive_column, strip_zero_rows, times_binomial_columns
 # lehmer_weighted_sum and power_sum_table stay importable from here:
 # perfbench/spans.py wraps them by these names.
 from .lehmer import lehmer_weighted_sum  # noqa: F401
-from .lehmer import (
-    LehmerSpec,
-    lehmer_expand,
-    lehmer_verify,
-    product_identity_sides,
-)
+from .lehmer import LehmerSpec, lehmer_expand, lehmer_verify, product_identity_sides
 from .partition import power_sum_table  # noqa: F401
 from .partition import prouhet_partition, verify_esp
-from .rings import reduce_zero_sum
+from .rings import reduce_zero_sum, symbol_columns
 from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, ZeroSumVector, ptm_block
 
 EXIT_OK = 0
@@ -104,16 +94,16 @@ def _cmd_factor(args):
     params = PTMParams(args.p, args.n, args.budget)
     mode = "symbolic" if args.symbolic else "integer"
     if args.symbolic:
-        vector = ZeroSumVector.symbolic(args.p)
+        columns = symbol_columns(args.p)
     else:
         values = _parse_int_list(args.coeffs, "--coeffs")
         if len(values) != args.p:
             raise ValueError(f"expected {args.p} coefficients, got {len(values)}")
-        vector = ZeroSumVector(values)
+        ZeroSumVector(values)  # raises ValueError unless the entries sum to zero
+        columns = [values]
     labels = ptm_block(params)
-    columns = vector_columns(params, vector)
     full_block = block_columns(labels, columns)
-    cofactor = strip_zero_rows(division_columns(params, full_block, vector[0]))
+    cofactor = strip_zero_rows(division_columns(params, full_block))
     block = strip_zero_rows(full_block)
     recursive = strip_zero_rows([recursive_column(params.n, c) for c in columns])
     product_check = times_binomial_columns(params, cofactor) == block

@@ -14,10 +14,11 @@ least n, which is what makes the digit-sum classes share power sums.
 Polynomials are dense coefficient tuples, lowest degree first, with no
 trailing zeros; coefficients live in any of the exact rings (int,
 CyclotomicElement, ZeroSumForm).  Each ring adds coordinate by coordinate
-(an int is its own coordinate, a ring element its coeffs), and multiplying
-or dividing by 1 - x^d only adds, so the factorization runs on plain-int
-coordinate columns; the ring-generic DensePolynomial multiply and
-exact_div are the reference for those kernels.  All arithmetic is exact.
+(an int is its own coordinate, a ring element its coeffs), the identity is
+linear in A, and multiplying or dividing by 1 - x^d only adds: so the
+factorization runs as one integer identity per coordinate, on plain-int
+columns, and its kernels name no ring.  The ring-generic DensePolynomial
+multiply and exact_div are their reference.  All arithmetic is exact.
 """
 
 import itertools
@@ -30,7 +31,9 @@ from .sequence import ptm_block, ptm_term  # noqa: F401
 
 
 class NotDivisibleError(ArithmeticError):
-    """Exact division left a nonzero remainder (kept in .remainder)."""
+    """Exact division left a nonzero remainder, kept in .remainder: a
+    DensePolynomial from exact_div, its integer coordinate columns from
+    the column kernels (divide_columns)."""
 
     def __init__(self, remainder):
         super().__init__(f"division is not exact; remainder {remainder!s}")
@@ -63,15 +66,6 @@ class DensePolynomial:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
-
-    def shifted(self, d):
-        """Multiply by x^d."""
-        if d < 0:
-            raise ValueError(f"shift must be non-negative, got {d!r}")
-        if d == 0 or not self.coeffs:
-            return self
-        pad = 0 * self.coeffs[0]  # zero of the coefficient ring
-        return DensePolynomial((pad,) * d + self.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -205,13 +199,6 @@ def _strided_prefix_sums(column, d):
     return s
 
 
-def one_minus_x_pow(d):
-    """The integer binomial 1 - x^d."""
-    if d < 1:
-        raise ValueError(f"exponent must be >= 1, got {d!r}")
-    return DensePolynomial((1,) + (0,) * (d - 1) + (-1,))
-
-
 def first_coefficient_mismatch(lhs, rhs):
     """First (exponent, lhs_coeff, rhs_coeff) where two polynomials differ,
     or None when they are equal."""
@@ -246,15 +233,6 @@ def binomial_product(params):
     """The divisor: product of (1 - x^{p^m}) for m = 0..n-1, built by
     shift-and-subtract.  Vanishes at x = 1 to order exactly n."""
     return polynomial_from_columns(times_binomial_columns(params, [[1]]), 1)
-
-
-def times_binomial_product(params, poly):
-    """poly * (1 - x)(1 - x^p)...(1 - x^{p^{n-1}}) over poly's ring."""
-    if not poly:
-        return poly
-    sample = poly.coeffs[-1]
-    columns = coordinate_columns(poly.coeffs, sample)
-    return polynomial_from_columns(times_binomial_columns(params, columns), sample)
 
 
 def times_binomial_columns(params, columns):
@@ -318,26 +296,25 @@ def cofactor_by_division(params, vector):
     """Cofactor obtained by dividing the block polynomial by each binomial
     (1 - x^{p^m}) in turn; see division_columns."""
     columns = block_columns(ptm_block(params), vector_columns(params, vector))
-    return polynomial_from_columns(division_columns(params, columns, vector[0]), vector[0])
+    return polynomial_from_columns(division_columns(params, columns), vector[0])
 
 
-def division_columns(params, columns, sample):
+def division_columns(params, columns):
     """Block columns divided by each binomial (1 - x^{p^m}) in turn, largest
     first so the columns shrink fastest: at most O(n * p**n) additions per
     column, O(p**n) for p = 2.  A nonzero remainder raises NotDivisibleError
     and means a bug, since zero-sum vectors always divide out cleanly."""
     for m in reversed(range(params.n)):
-        columns = divide_columns(columns, params.p**m, sample)
+        columns = divide_columns(columns, params.p**m)
     return columns
 
 
-def divide_columns(columns, d, sample):
+def divide_columns(columns, d):
     """Coordinate columns f divided by 1 - x^d: the strided prefix sums
     q[j] = f[j] + q[j - d], carried on through the top d places, where they
     are the remainder f - q * (1 - x^d), zero below them.  A nonzero one
-    raises NotDivisibleError with that remainder in sample's ring."""
+    raises NotDivisibleError carrying the remainder's columns."""
     sums = [_strided_prefix_sums(column, d) for column in columns]
     if any(any(s[-d:]) for s in sums):
-        remainder = [[0] * (len(s) - d) + s[-d:] for s in sums]
-        raise NotDivisibleError(polynomial_from_columns(remainder, sample))
+        raise NotDivisibleError([[0] * (len(s) - d) + s[-d:] for s in sums])
     return [s[:-d] for s in sums]

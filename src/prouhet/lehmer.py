@@ -20,7 +20,7 @@ from .factorization import block_columns
 # ptm_polynomial stays importable from here: perfbench/spans.py wraps it by this name.
 from .factorization import ptm_polynomial  # noqa: F401
 from .partition import class_power_sums, scan_power_sums, weighted_classes
-from .rings import CyclotomicElement, reduce_zero_sum, symbol_coordinates
+from .rings import CyclotomicElement, reduce_zero_sum, symbol_columns
 from .sequence import DEFAULT_BUDGET, PTMParams, ptm_block
 
 
@@ -115,8 +115,8 @@ def product_identity_sides(params):
     histogram of class r of weighted_classes at the base-power weights, so
     its p integer columns are read off those lists.  They are reduced to the
     quotient ring once, by w^{p-1} = -(1 + w + ... + w^{p-2}).  The right
-    side reads one ptm_block through the coordinates of each w^t
-    (symbol_coordinates).  The sides are equal exactly when their columns
+    side reads one ptm_block through the coordinate columns of the w^t
+    (symbol_columns).  The sides are equal exactly when their columns
     are; polynomial_from_columns turns either into a polynomial over the
     cyclotomic ring.
     """
@@ -133,7 +133,4 @@ def product_identity_sides(params):
         for v in values:
             column[v] += 1
         lhs.append(column)
-    # Row r holds coordinate r of w^0, ..., w^{p-1}, as a list because
-    # list.__getitem__ is a faster lookup than tuple.__getitem__.
-    coordinates = [list(row) for row in zip(*[symbol_coordinates(p, t) for t in range(p)])]
-    return lhs, block_columns(ptm_block(params), coordinates)
+    return lhs, block_columns(ptm_block(params), symbol_columns(p))

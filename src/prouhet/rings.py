@@ -48,6 +48,13 @@ def symbol_coordinates(p, k):
     return reduce_zero_sum(values)
 
 
+def symbol_columns(p):
+    """The p - 1 coordinate columns of s_0, ..., s_{p-1}: entry t of column r
+    is coordinate r of s_t.  Lists, as a block of labels reads through them
+    by list.__getitem__, a faster lookup than tuple.__getitem__."""
+    return [list(column) for column in zip(*[symbol_coordinates(p, t) for t in range(p)])]
+
+
 def power_name(var, i):
     """The monomial var^i as text: '' for i = 0, var for i = 1."""
     return "" if i == 0 else (var if i == 1 else f"{var}^{i}")
@@ -210,12 +217,6 @@ class CyclotomicElement(ZeroSumCoordinates):
 
     def __str__(self):
         return signed_terms((c, power_name("w", i)) for i, c in enumerate(self.coeffs))
-
-
-def omega_pow(p, k):
-    """w^k in canonical form; k may be any integer (reduced mod p)."""
-    check_base(p)
-    return CyclotomicElement.basis(p, k % p)
 
 
 class ZeroSumForm(ZeroSumCoordinates):

@@ -9,7 +9,7 @@ import operator
 from collections import namedtuple
 from itertools import chain
 
-from .rings import ZeroSumForm, check_base, omega_pow
+from .rings import ZeroSumForm, check_base
 
 DEFAULT_BUDGET = 10**7
 
@@ -82,10 +82,13 @@ def ptm_block(params):
     block (n - b digits), and both half-blocks are built by the same rule.
     The p shifted copies of the low block come from the addition table
     mod p; the block itself is assembled by list copies alone.  A block of
-    one digit is 0, ..., p-1 and builds no table."""
+    one digit is 0, ..., p-1 and builds no table; one of two digits is the
+    table's rows, each made as it is copied, so no table is held."""
     digits = list(range(params.p))
     if params.n == 1:
         return digits
+    if params.n == 2:
+        return list(chain.from_iterable(digits[t:] + digits[:t] for t in digits))
     table = [digits[t:] + digits[:t] for t in digits]  # row t: (t + d) mod p
     return _half_block_join(params.n, table)
 
@@ -136,16 +139,6 @@ class ZeroSumVector:
     def symbolic(cls, p):
         """The generic vector (a_0, ..., a_{p-1}) with a_{p-1} eliminated."""
         return cls(tuple(ZeroSumForm.generator(p, i) for i in range(p)))
-
-    @classmethod
-    def roots_of_unity(cls, p):
-        """(w^0, w^1, ..., w^{p-1}) in the cyclotomic quotient ring."""
-        return cls(tuple(omega_pow(p, k) for k in range(p)))
-
-    def shift(self, k):
-        """k-th left cyclic shift (k reduced mod p); still sums to zero."""
-        k %= self.p
-        return ZeroSumVector(self.entries[k:] + self.entries[:k])
 
     def __len__(self):
         return self.p

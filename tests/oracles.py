@@ -2,7 +2,9 @@
 
 Each one computes a quantity the package computes another way: term by
 term, by repeated ring-generic division, or by multiplying DensePolynomial
-factors.  They stay slow and direct on purpose.
+factors.  They stay slow and direct on purpose.  The ring helpers below
+them (binomials, shifts, roots of unity) build the test vectors and
+polynomials; the package itself computes on integer columns.
 """
 
 import itertools
@@ -13,14 +15,62 @@ from prouhet import (
     NotDivisibleError,
     PTMParams,
     ZeroSumForm,
+    ZeroSumVector,
     first_coefficient_mismatch,
-    omega_pow,
-    one_minus_x_pow,
     product_identity_sides,
     ptm_block,
     ptm_term,
 )
-from prouhet.factorization import polynomial_from_columns
+from prouhet.factorization import (
+    coordinate_columns,
+    polynomial_from_columns,
+    times_binomial_columns,
+)
+from prouhet.rings import check_base
+
+
+def one_minus_x_pow(d):
+    """The integer binomial 1 - x^d."""
+    if d < 1:
+        raise ValueError(f"exponent must be >= 1, got {d!r}")
+    return DensePolynomial((1,) + (0,) * (d - 1) + (-1,))
+
+
+def shifted(poly, d):
+    """poly multiplied by x^d, the padding in poly's coefficient ring."""
+    if d < 0:
+        raise ValueError(f"shift must be non-negative, got {d!r}")
+    if d == 0 or not poly:
+        return poly
+    pad = 0 * poly.coeffs[0]  # zero of the coefficient ring
+    return DensePolynomial((pad,) * d + poly.coeffs)
+
+
+def times_binomial_product(params, poly):
+    """poly * (1 - x)(1 - x^p)...(1 - x^{p^{n-1}}) over poly's ring, through
+    the package's column kernel."""
+    if not poly:
+        return poly
+    sample = poly.coeffs[-1]
+    columns = coordinate_columns(poly.coeffs, sample)
+    return polynomial_from_columns(times_binomial_columns(params, columns), sample)
+
+
+def omega_pow(p, k):
+    """w^k in canonical form; k may be any integer (reduced mod p)."""
+    check_base(p)
+    return CyclotomicElement.basis(p, k % p)
+
+
+def roots_of_unity(p):
+    """The zero-sum vector (w^0, w^1, ..., w^{p-1}) over the cyclotomic ring."""
+    return ZeroSumVector(omega_pow(p, k) for k in range(p))
+
+
+def shift(vector, k):
+    """The k-th left cyclic shift of a zero-sum vector (k reduced mod p)."""
+    k %= vector.p
+    return ZeroSumVector(vector.entries[k:] + vector.entries[:k])
 
 
 def map_coeffs(poly, fn):
@@ -49,8 +99,8 @@ def ptm_polynomial_recursive(params, vector):
     stride = p ** (params.n - 1)
     total = DensePolynomial()
     for k in range(p):
-        block = ptm_polynomial_recursive(sub, vector.shift(k))
-        total = total + block.shifted(k * stride)
+        block = ptm_polynomial_recursive(sub, shift(vector, k))
+        total = total + shifted(block, k * stride)
     return total
 
 

@@ -16,7 +16,6 @@ from prouhet import (
     CyclotomicElement,
     DensePolynomial,
     LehmerSpec,
-    NotDivisibleError,
     PTMParams,
     ZeroSumForm,
     class_power_sums,
@@ -26,6 +25,7 @@ from prouhet import (
     ptm_term,
 )
 from prouhet.cli import main
+from prouhet.factorization import division_columns
 
 SPEC_PARTITION_RESULT = {
     "p": 2,
@@ -242,32 +242,39 @@ class TestFactorCommand:
         assert envelope["result"]["product_check"] is True
         assert envelope["result"]["constructions_agree"] is True
 
-    def test_symbolic_ring_elements_do_not_grow_with_the_block(self, capsys, monkeypatch):
-        created = []
-        init = ZeroSumForm.__init__
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize(
+        "vector", [["--symbolic"], ["--coeffs", "4,-7,3"]], ids=["symbolic", "coeffs"]
+    )
+    def test_builds_no_ring_value(self, capsys, monkeypatch, vector, n):
+        built = []
 
-        def counted(self, *args):
-            created.append(self)
-            init(self, *args)
+        def counted(original):
+            def wrapper(self, *args):
+                built.append(type(self).__name__)
+                original(self, *args)
+            return wrapper
 
-        monkeypatch.setattr(ZeroSumForm, "__init__", counted)
-        counts = []
-        for n in (1, 4):
-            created.clear()
-            assert main(["factor", "--p", "3", "--n", str(n), "--symbolic"]) == 0
-            counts.append(len(created))
-        capsys.readouterr()
-        assert counts[0] == counts[1]
+        for cls in (CyclotomicElement, ZeroSumForm, DensePolynomial):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        code, envelope = run_json(capsys, ["factor", "--p", "3", "--n", str(n), *vector])
+        assert code == 0
+        assert built == []
+        assert envelope["result"]["product_check"] is True
+        assert envelope["result"]["constructions_agree"] is True
 
     def test_inexact_division_is_a_verification_failure(self, capsys, monkeypatch):
-        def inexact(params, columns, sample):
-            raise NotDivisibleError(DensePolynomial([1]))
+        def inexact(params, columns):
+            # 1 - x - x^2 + 2x^3 is not a multiple of 1 - x^2: the remainder
+            # is x^3, one integer column.
+            columns[0][-1] += 1
+            return division_columns(params, columns)
 
         monkeypatch.setattr(prouhet.cli, "division_columns", inexact)
         code = main(["factor", "--p", "2", "--n", "2", "--coeffs", "1,-1"])
         assert code == 1
         captured = capsys.readouterr()
-        assert "not exact" in captured.err
+        assert captured.err == "error: division is not exact; remainder [[0, 0, 0, 1]]\n"
         assert captured.out == ""
 
 
@@ -456,6 +463,24 @@ class TestColdStart:
             [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
         )
         assert run.stdout.split() == []
+
+    def test_parser_adds_only_the_package_to_its_standard_modules(self):
+        # The baseline is what this interpreter loads for the standard
+        # modules cli.py imports and for one parser with a subcommand, so
+        # the test holds across Python versions; any other import fails it.
+        src = Path(prouhet.cli.__file__).resolve().parents[1]
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import argparse, collections, functools, itertools, json, operator, os, time; "
+            "argparse.ArgumentParser().add_subparsers().add_parser('x'); "
+            "before = set(sys.modules); import prouhet.cli; prouhet.cli.build_parser(); "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+        )
+        package = ["cli", "factorization", "lehmer", "partition", "rings", "sequence"]
+        assert run.stdout.split() == ["prouhet"] + [f"prouhet.{name}" for name in package]
 
 
 class TestHarness:

@@ -17,7 +17,6 @@ from prouhet import (
     binomial_product,
     cofactor_by_division,
     cofactor_recursive,
-    one_minus_x_pow,
     product_identity_sides,
     ptm_block,
     ptm_polynomial,
@@ -28,18 +27,25 @@ from prouhet.factorization import (
     coordinate_columns,
     divide_columns,
     division_columns,
+    polynomial_from_columns,
     recursive_column,
-    times_binomial_product,
     vector_columns,
 )
 
-from oracles import cube_cofactor, dense_product_lhs, identity_side_polynomials
+from oracles import (
+    cube_cofactor,
+    dense_product_lhs,
+    identity_side_polynomials,
+    one_minus_x_pow,
+    roots_of_unity,
+    times_binomial_product,
+)
 from randomized import random_cases
 
 # Largest block exponent per base that keeps the ring-generic oracle quick.
 MAX_N = {2: 6, 3: 4, 4: 3, 5: 3, 6: 2, 7: 2}
 GRID = [(p, n) for p, top in MAX_N.items() for n in range(1, top + 1)]
-RING_VECTORS = {"symbolic": ZeroSumVector.symbolic, "roots": ZeroSumVector.roots_of_unity}
+RING_VECTORS = {"symbolic": ZeroSumVector.symbolic, "roots": roots_of_unity}
 
 
 def random_integer_case(rng):
@@ -64,6 +70,11 @@ def dense_divisor(params):
     for m in range(params.n):
         divisor = divisor * one_minus_x_pow(params.p**m)
     return divisor
+
+
+def padded_columns(poly, sample, length):
+    """Oracle: poly's coordinate columns in sample's ring, zero-padded to length."""
+    return [c + [0] * (length - len(c)) for c in coordinate_columns(poly.coeffs, sample)]
 
 
 def assert_same_poly(actual, expected):
@@ -97,18 +108,41 @@ class TestDivision:
             expected = DensePolynomial(f).exact_div(one_minus_x_pow(d))
         except NotDivisibleError as oracle:
             with pytest.raises(NotDivisibleError) as err:
-                divide_columns([f], d, 0)
-            assert_same_poly(err.value.remainder, oracle.remainder)
+                divide_columns([f], d)
+            assert err.value.remainder == padded_columns(oracle.remainder, 0, len(f))
         else:
-            (quotient,) = divide_columns([f], d, 0)
+            (quotient,) = divide_columns([f], d)
             assert DensePolynomial(quotient) == expected
 
-    def test_nondivisible_remainder_is_in_the_vector_ring(self):
+    @random_cases
+    def test_nondivisible_form_columns_carry_oracle_remainder(self, rng):
+        # The top entry is a nonzero form, so the oracle's polynomial keeps
+        # every entry and the columns line up with it.
+        p = rng.randint(2, 5)
+        f = [ZeroSumForm(p, [rng.randint(-3, 3) for _ in range(p - 1)])
+             for _ in range(rng.randint(2, 10))]
+        if not f[-1]:
+            f[-1] = ZeroSumForm.generator(p, 0)
+        d = rng.randint(1, len(f) - 1)
+        columns = coordinate_columns(f, f[-1])
+        try:
+            expected = DensePolynomial(f).exact_div(one_minus_x_pow(d))
+        except NotDivisibleError as oracle:
+            with pytest.raises(NotDivisibleError) as err:
+                divide_columns(columns, d)
+            remainder = err.value.remainder
+            assert remainder == padded_columns(oracle.remainder, f[-1], len(f))
+            assert {type(c) for column in remainder for c in column} == {int}
+        else:
+            quotient = divide_columns(columns, d)
+            assert polynomial_from_columns(quotient, f[-1]) == expected
+
+    def test_remainder_is_the_top_rows_over_zeros(self):
         f = [ZeroSumForm(3, (1, 0)), ZeroSumForm.zero(3), ZeroSumForm(3, (2, -1))]
         with pytest.raises(NotDivisibleError) as err:
-            divide_columns(coordinate_columns(f, f[0]), 2, f[0])
-        q = DensePolynomial(f[:1])
-        assert_same_poly(err.value.remainder, DensePolynomial(f) - q * one_minus_x_pow(2))
+            divide_columns(coordinate_columns(f, f[0]), 2)
+        # f - a0 * (1 - x^2) = (3a0 - a1) x^2
+        assert err.value.remainder == [[0, 0, 3], [0, 0, -1]]
 
 
 class TestCubeSum:
@@ -116,7 +150,7 @@ class TestCubeSum:
 
     @staticmethod
     def assert_agree(params, columns):
-        divided = division_columns(params, block_columns(ptm_block(params), columns), 0)
+        divided = division_columns(params, block_columns(ptm_block(params), columns))
         for column, quotient in zip(columns, divided):
             assert quotient == recursive_column(params.n, column) == cube_cofactor(params.n, column)
 
@@ -172,7 +206,7 @@ class TestIdentityColumns:
         lhs, rhs = product_identity_sides(PTMParams.from_degree(p, m))
         one = CyclotomicElement.one(p)
         assert lhs == coordinate_columns(dense_product_lhs(p, m).coeffs, one)
-        block = ptm_polynomial(PTMParams.from_degree(p, m), ZeroSumVector.roots_of_unity(p))
+        block = ptm_polynomial(PTMParams.from_degree(p, m), roots_of_unity(p))
         assert rhs == coordinate_columns(block.coeffs, one)
         assert [len(column) for column in lhs] == [p ** (m + 1)] * (p - 1)
 

@@ -12,12 +12,15 @@ from prouhet import (
     binomial_product,
     cofactor_by_division,
     cofactor_recursive,
-    one_minus_x_pow,
     ptm_polynomial,
 )
 
 from oracles import (
+    one_minus_x_pow,
     ptm_polynomial_recursive,
+    roots_of_unity,
+    shift,
+    shifted,
     specialize,
     vanishing_order_at_one,
     weighted_power_sum,
@@ -102,7 +105,7 @@ class TestPolynomialArithmetic:
         assert quotient == DensePolynomial([form(3, 1, 0), form(3, 1, 1)])
 
     def test_shifted_keeps_coefficient_ring(self):
-        poly = DensePolynomial([form(3, 1, 0)]).shifted(2)
+        poly = shifted(DensePolynomial([form(3, 1, 0)]), 2)
         assert isinstance(poly.coeffs[0], ZeroSumForm)
         assert not poly.coeffs[0]
 
@@ -134,8 +137,8 @@ class TestBlockPolynomial:
         sub = PTMParams(3, 1)
         manual = (
             ptm_polynomial(sub, a)
-            + ptm_polynomial(sub, a.shift(1)).shifted(3)
-            + ptm_polynomial(sub, a.shift(2)).shifted(6)
+            + shifted(ptm_polynomial(sub, shift(a, 1)), 3)
+            + shifted(ptm_polynomial(sub, shift(a, 2)), 6)
         )
         assert manual == direct
 
@@ -151,7 +154,7 @@ class TestBlockPolynomial:
     def test_recursive_agrees_with_direct(self, p, n):
         rng = random.Random(1000 * p + n)
         params = PTMParams(p, n)
-        vectors = [ZeroSumVector.symbolic(p), ZeroSumVector.roots_of_unity(p)]
+        vectors = [ZeroSumVector.symbolic(p), roots_of_unity(p)]
         vectors += [random_zero_sum_vector(rng, p) for _ in range(5)]
         for vec in vectors:
             assert ptm_polynomial_recursive(params, vec) == ptm_polynomial(params, vec)
@@ -340,7 +343,7 @@ class TestWeightedPowerSum:
         params = PTMParams(p, n)
         vectors = [
             ZeroSumVector.symbolic(p),
-            ZeroSumVector.roots_of_unity(p),
+            roots_of_unity(p),
             random_zero_sum_vector(rng, p),
         ]
         for vec in vectors:
@@ -494,7 +497,7 @@ class TestExactDivAgainstDenseOracle:
         r = [0 * nonzero[0]] * room
         for slot, c in zip(sorted(rng.sample(range(room), len(nonzero))), nonzero):
             r[slot] = c
-        r = DensePolynomial(r).shifted(len(q.coeffs))
+        r = shifted(DensePolynomial(r), len(q.coeffs))
         qg = dense_mul(q, g)
         f = qg + r
         if f.degree != qg.degree:

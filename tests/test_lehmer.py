@@ -17,11 +17,15 @@ from prouhet import (
     lehmer_expand,
     lehmer_verify,
     lehmer_weighted_sum,
-    omega_pow,
     prouhet_partition,
 )
 
-from oracles import identity_side_polynomials, multiset_power_sum, verify_product_identity
+from oracles import (
+    identity_side_polynomials,
+    multiset_power_sum,
+    omega_pow,
+    verify_product_identity,
+)
 from randomized import random_cases
 
 

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from prouhet import CyclotomicElement, DensePolynomial, ZeroSumForm, omega_pow
+from prouhet import CyclotomicElement, DensePolynomial, ZeroSumForm
 
+from oracles import omega_pow
 from randomized import random_cases
 
 

@@ -13,12 +13,12 @@ from prouhet import (
     PTMParams,
     ZeroSumForm,
     ZeroSumVector,
-    omega_pow,
     ptm_block,
     ptm_block_recursive,
     ptm_term,
 )
 
+from oracles import omega_pow, roots_of_unity, shift
 from randomized import random_cases
 
 
@@ -105,6 +105,18 @@ class TestPtmBlock:
         assert len(block) == 2**20
         assert peak <= 1.1 * sys.getsizeof(block)
 
+    def test_two_level_block_holds_no_addition_table(self):
+        # A two-digit block is the p x p addition table's rows in order;
+        # each row is made as it is copied, so no table sits next to it.
+        tracemalloc.start()
+        try:
+            block = ptm_block(PTMParams(1000, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block[1000:1003] == [1, 2, 3] and block[-1] == 998
+        assert peak <= 1.1 * sys.getsizeof(block)
+
     def test_one_level_block_builds_no_addition_table(self):
         # A p x p table for p = 3000 would take about 340 MB; the block
         # itself is 3000 small ints.
@@ -148,7 +160,7 @@ class TestPTMParams:
             lambda: LehmerSpec(p, (1,)),
             lambda: CyclotomicElement(p, ()),
             lambda: ZeroSumForm(p, ()),
-            lambda: omega_pow(p, 1),
+            lambda: CyclotomicElement.basis(p, 1),
         ]
         for build in builders:
             with pytest.raises(ValueError, match=message):
@@ -207,16 +219,16 @@ class TestZeroSumVector:
 
     def test_shift_identity(self):
         a = ZeroSumVector([1, 1, -2])
-        assert a.shift(0) == a
+        assert shift(a, 0) == a
 
     def test_shift_left_by_one(self):
         a = ZeroSumVector([5, -2, -3])
-        assert a.shift(1).entries == (-2, -3, 5)
+        assert shift(a, 1).entries == (-2, -3, 5)
 
     def test_shift_full_cycle(self):
         a = ZeroSumVector([4, -1, -3])
-        assert a.shift(1).shift(a.p - 1) == a
-        assert a.shift(7) == a.shift(7 % 3)
+        assert shift(shift(a, 1), a.p - 1) == a
+        assert shift(a, 7) == shift(a, 7 % 3)
 
     def test_symbolic_entries_are_generators(self):
         a = ZeroSumVector.symbolic(4)
@@ -225,6 +237,6 @@ class TestZeroSumVector:
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_roots_of_unity_vector(self, p):
-        a = ZeroSumVector.roots_of_unity(p)
+        a = roots_of_unity(p)
         for k in range(p):
             assert a[k] == omega_pow(p, k)
