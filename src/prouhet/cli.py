@@ -9,10 +9,18 @@ a division that leaves a remainder (NotDivisibleError, which means a bug),
 closed before the output was written.  `factor` and `identities` compute
 on integer columns and build no ring value: `factor --symbolic` reads the
 one symbol table, rings.symbol_columns, and `--coeffs` the given ints.
+
+main runs each job (the command and its output) with the cyclic garbage
+collector paused, and switches it back on only if it was on at entry.  A
+job makes no reference cycle, so refcounting frees all it allocates and
+the collector would only re-trace live containers: a `lehmer --p 3` job
+with 9 weights holds tens of thousands of small tuples and lists at once.
+The pause toggles process-wide state; the library functions never do.
 """
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -380,6 +388,19 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    # The collector is paused for the job (see the module docstring); a
+    # caller that had switched it off finds it off on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args):
+    """Run the parsed command and print its output; the exit code."""
     start = time.perf_counter()
     try:
         echo, result, ok = args.handler(args)

@@ -63,10 +63,12 @@ class LehmerSpec(namedtuple("LehmerSpec", "p mu budget")):
 def lehmer_expand(spec):
     """The weighted values of all p**(M+1) digit tuples by digit-sum class:
     p tuples of (value, multiplicity) pairs sorted by value, whose
-    multiplicities total p**(M+1).  It is weighted_classes, counted and
+    multiplicities total p**(M+1).  It is weighted_classes, sorted and
+    counted: sorting the ints first, not the pairs, compares ints alone,
+    and a Counter keeps first-insertion order, so its pairs come out
     sorted."""
     classes = weighted_classes(spec.p, spec.mu)
-    return tuple(tuple(sorted(Counter(values).items())) for values in classes)
+    return tuple(tuple(Counter(sorted(values)).items()) for values in classes)
 
 
 def _class_moments(pairs, degree):

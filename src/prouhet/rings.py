@@ -103,10 +103,6 @@ class ZeroSumCoordinates:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, p):
-        return cls(p, (0,) * (p - 1))
-
-    @classmethod
     def basis(cls, p, k):
         """The k-th symbol s_k, 0 <= k <= p-1; s_{p-1} = -(s_0 + ... + s_{p-2})."""
         check_base(p)
@@ -187,15 +183,6 @@ class CyclotomicElement(ZeroSumCoordinates):
     __init__ = ZeroSumCoordinates.__init__
     __mul__ = __rmul__ = ZeroSumCoordinates.__mul__
 
-    @classmethod
-    def one(cls, p):
-        return cls.from_int(p, 1)
-
-    @classmethod
-    def from_int(cls, p, value):
-        """The image of an ordinary integer under Z -> Z[w]."""
-        return cls(p, cls._int_coeffs(p, value))
-
     @staticmethod
     def _int_coeffs(p, value):  # every int n is n * w^0
         return (value,) + (0,) * (p - 2)
@@ -237,19 +224,6 @@ class ZeroSumForm(ZeroSumCoordinates):
 
     def _times(self, other):
         raise TypeError("zero-sum forms are linear; products of symbols are not defined")
-
-    def specialize(self, values):
-        """Evaluate at a concrete length-p assignment whose entries sum to zero."""
-        values = tuple(values)
-        if len(values) != self.p:
-            raise ValueError(f"expected {self.p} values, got {len(values)}")
-        total = sum(values)
-        if total != 0:
-            raise ValueError(f"values must sum to zero, got sum {total!r}")
-        acc = 0
-        for c, v in zip(self.coeffs, values):
-            acc = acc + c * v
-        return acc
 
     def __str__(self):
         return signed_terms((c, f"a{i}") for i, c in enumerate(self.coeffs))

@@ -3,8 +3,8 @@
 Each one computes a quantity the package computes another way: term by
 term, by repeated ring-generic division, or by multiplying DensePolynomial
 factors.  They stay slow and direct on purpose.  The ring helpers below
-them (binomials, shifts, roots of unity) build the test vectors and
-polynomials; the package itself computes on integer columns.
+them (binomials, shifts, ring constants, roots of unity) build the test
+vectors and polynomials; the package itself computes on integer columns.
 """
 
 import itertools
@@ -56,6 +56,28 @@ def times_binomial_product(params, poly):
     return polynomial_from_columns(times_binomial_columns(params, columns), sample)
 
 
+def ring_zero(cls, p):
+    """The zero of a zero-sum ring class (CyclotomicElement or ZeroSumForm)."""
+    return cls(p, (0,) * (p - 1))
+
+
+def cyclotomic_int(p, value):
+    """The image of an ordinary integer under Z -> Z[w]: value * w^0."""
+    return CyclotomicElement(p, (value,) + (0,) * (p - 2))
+
+
+def specialize_form(form, values):
+    """Evaluate a ZeroSumForm at a concrete length-p assignment whose
+    entries sum to zero."""
+    values = tuple(values)
+    if len(values) != form.p:
+        raise ValueError(f"expected {form.p} values, got {len(values)}")
+    total = sum(values)
+    if total != 0:
+        raise ValueError(f"values must sum to zero, got sum {total!r}")
+    return sum(c * v for c, v in zip(form.coeffs, values))
+
+
 def omega_pow(p, k):
     """w^k in canonical form; k may be any integer (reduced mod p)."""
     check_base(p)
@@ -82,7 +104,7 @@ def specialize(poly, values):
     """Substitute concrete zero-sum values for the symbolic generators in
     every coefficient; non-symbolic coefficients pass through unchanged."""
     return map_coeffs(
-        poly, lambda c: c.specialize(values) if isinstance(c, ZeroSumForm) else c
+        poly, lambda c: specialize_form(c, values) if isinstance(c, ZeroSumForm) else c
     )
 
 
@@ -180,10 +202,10 @@ def dense_product_lhs(p, degree):
     """The product over m = 0..degree of 1 + w*x^{p^m} + ... +
     w^{p-1}*x^{(p-1)*p^m}, by DensePolynomial multiplication over the
     cyclotomic ring."""
-    lhs = DensePolynomial([CyclotomicElement.one(p)])
+    lhs = DensePolynomial([cyclotomic_int(p, 1)])
     for level in range(degree + 1):
         stride = p**level
-        factor = [CyclotomicElement.zero(p)] * ((p - 1) * stride + 1)
+        factor = [ring_zero(CyclotomicElement, p)] * ((p - 1) * stride + 1)
         for j in range(p):
             factor[j * stride] = omega_pow(p, j)
         lhs = lhs * DensePolynomial(factor)
@@ -193,7 +215,7 @@ def dense_product_lhs(p, degree):
 def identity_side_polynomials(p, degree):
     """Both sides of product_identity_sides as polynomials over the
     cyclotomic ring, built from their coordinate columns."""
-    one = CyclotomicElement.one(p)
+    one = cyclotomic_int(p, 1)
     sides = product_identity_sides(PTMParams.from_degree(p, degree))
     return tuple(polynomial_from_columns(side, one) for side in sides)
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import subprocess
@@ -53,6 +54,14 @@ def run_json(capsys, argv):
     captured = capsys.readouterr()
     envelope = json.loads(captured.out)
     return code, envelope
+
+
+def _inexact_division(params, columns):
+    """division_columns on a block with its last coefficient raised by 1.
+    At p = 2, n = 2, A = (1, -1), 1 - x - x^2 + 2x^3 is not a multiple of
+    1 - x^2: the remainder is x^3, one integer column."""
+    columns[0][-1] += 1
+    return division_columns(params, columns)
 
 
 class TestPtmCommand:
@@ -264,13 +273,7 @@ class TestFactorCommand:
         assert envelope["result"]["constructions_agree"] is True
 
     def test_inexact_division_is_a_verification_failure(self, capsys, monkeypatch):
-        def inexact(params, columns):
-            # 1 - x - x^2 + 2x^3 is not a multiple of 1 - x^2: the remainder
-            # is x^3, one integer column.
-            columns[0][-1] += 1
-            return division_columns(params, columns)
-
-        monkeypatch.setattr(prouhet.cli, "division_columns", inexact)
+        monkeypatch.setattr(prouhet.cli, "division_columns", _inexact_division)
         code = main(["factor", "--p", "2", "--n", "2", "--coeffs", "1,-1"])
         assert code == 1
         captured = capsys.readouterr()
@@ -449,6 +452,125 @@ class TestIdentitiesCommand:
         assert json.loads(capsys.readouterr().out)["result"]["all_pass"] is True
 
 
+# A lehmer job listing 3**9 = 19,683 digit tuples, whose values are distinct.
+LEHMER_9 = ["lehmer", "--p", "3", "--mu", ",".join(str(10**6 * 3**j + j + 1) for j in range(9))]
+
+
+# (argv, exit code) of each error a job reports by its exit code; exit 1
+# needs division_columns patched to _inexact_division.
+ERROR_EXITS = [
+    (["factor", "--p", "2", "--n", "2", "--coeffs", "1,-1"], 1),
+    (["ptm", "--p", "1", "--n", "3"], 2),
+    (["lehmer", "--p", "2", "--mu", "1,0"], 2),
+    (["ptm", "--p", "2", "--n", "30", "--budget", "1000000"], 3),
+]
+
+ONE_JOB_PER_COMMAND = [
+    ["ptm", "--p", "3", "--n", "4"],
+    ["partition", "--p", "3", "--m", "2", "--check-beyond", "3"],
+    ["factor", "--p", "3", "--n", "3", "--symbolic"],
+    ["factor", "--p", "3", "--n", "3", "--coeffs", "1,1,-2"],
+    ["lehmer", "--p", "3", "--mu", "2,5,7"],
+    ["identities", "--p", "3", "--m", "2"],
+]
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic collector back as it was, whatever a test set."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """main runs each job with the cyclic garbage collector paused."""
+
+    def test_lehmer_job_starts_no_collection(self, capsys, collector_state):
+        gc.enable()
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()  # parse_args runs before the pause: start it from empty counts
+        gc.callbacks.append(count)
+        try:
+            code = main(LEHMER_9)
+        finally:
+            gc.callbacks.remove(count)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["result"]["equal_up_to"] == 8
+        assert starts == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["ptm", "--p", "2", "--n", "3"], 0), *ERROR_EXITS,
+    ])
+    def test_restores_the_collector_state(
+        self, capsys, monkeypatch, collector_state, enabled, argv, exit_code
+    ):
+        monkeypatch.setattr(prouhet.cli, "division_columns", _inexact_division)
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == exit_code
+        assert gc.isenabled() is enabled
+
+    def test_restores_the_collector_state_when_a_job_raises(
+        self, monkeypatch, collector_state
+    ):
+        def broken(*args):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(prouhet.cli, "_emit", broken)
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            main(["ptm", "--p", "2", "--n", "3"])
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", ["on", "off"])
+    def test_restores_the_collector_state_after_a_closed_pipe(self, enabled):
+        # As in TestHarness: the reader closes stdout after one line of csv.
+        src = Path(prouhet.cli.__file__).resolve().parents[1]
+        code = (
+            "import gc, sys; sys.path.insert(0, sys.argv[1]); from prouhet.cli import main; "
+            "sys.argv[2] == 'on' or gc.disable(); "
+            "code = main(['ptm', '--p', '2', '--n', '18', '--format', 'csv']); "
+            "print(code, gc.isenabled(), file=sys.stderr)"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(src), enabled],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"n,value\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert stderr.split() == [b"141", b"True" if enabled == "on" else b"False"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("argv", ONE_JOB_PER_COMMAND, ids=" ".join)
+    def test_a_job_leaves_no_cyclic_garbage(self, capsys, collector_state, argv, fmt):
+        # The pause is safe because refcounting alone frees what a job makes.
+        argv = argv + ["--format", fmt]
+        assert main(argv) == 0  # warm-up: caches such as the parser fill here
+        gc.disable()
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("argv,exit_code", ERROR_EXITS)
+    def test_an_error_exit_leaves_no_cyclic_garbage(
+        self, capsys, monkeypatch, collector_state, argv, exit_code
+    ):
+        monkeypatch.setattr(prouhet.cli, "division_columns", _inexact_division)
+        assert main(argv) == exit_code
+        gc.disable()
+        gc.collect()
+        assert main(argv) == exit_code
+        assert gc.collect() == 0
+
+
 class TestColdStart:
     def test_parser_loads_no_annotation_machinery(self):
         # -S skips the site module, whose .pth files may import typing on
@@ -471,7 +593,7 @@ class TestColdStart:
         src = Path(prouhet.cli.__file__).resolve().parents[1]
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
-            "import argparse, collections, functools, itertools, json, operator, os, time; "
+            "import argparse, collections, functools, gc, itertools, json, operator, os, time; "
             "argparse.ArgumentParser().add_subparsers().add_parser('x'); "
             "before = set(sys.modules); import prouhet.cli; prouhet.cli.build_parser(); "
             "print(*sorted(set(sys.modules) - before))"

@@ -34,9 +34,11 @@ from prouhet.factorization import (
 
 from oracles import (
     cube_cofactor,
+    cyclotomic_int,
     dense_product_lhs,
     identity_side_polynomials,
     one_minus_x_pow,
+    ring_zero,
     roots_of_unity,
     times_binomial_product,
 )
@@ -138,7 +140,7 @@ class TestDivision:
             assert polynomial_from_columns(quotient, f[-1]) == expected
 
     def test_remainder_is_the_top_rows_over_zeros(self):
-        f = [ZeroSumForm(3, (1, 0)), ZeroSumForm.zero(3), ZeroSumForm(3, (2, -1))]
+        f = [ZeroSumForm(3, (1, 0)), ring_zero(ZeroSumForm, 3), ZeroSumForm(3, (2, -1))]
         with pytest.raises(NotDivisibleError) as err:
             divide_columns(coordinate_columns(f, f[0]), 2)
         # f - a0 * (1 - x^2) = (3a0 - a1) x^2
@@ -204,7 +206,7 @@ class TestIdentityColumns:
     def test_columns_are_the_coordinates_of_both_sides(self, rng):
         p, m = rng.randint(2, 7), rng.randint(0, 3)
         lhs, rhs = product_identity_sides(PTMParams.from_degree(p, m))
-        one = CyclotomicElement.one(p)
+        one = cyclotomic_int(p, 1)
         assert lhs == coordinate_columns(dense_product_lhs(p, m).coeffs, one)
         block = ptm_polynomial(PTMParams.from_degree(p, m), roots_of_unity(p))
         assert rhs == coordinate_columns(block.coeffs, one)

@@ -16,8 +16,10 @@ from prouhet import (
 )
 
 from oracles import (
+    cyclotomic_int,
     one_minus_x_pow,
     ptm_polynomial_recursive,
+    ring_zero,
     roots_of_unity,
     shift,
     shifted,
@@ -425,12 +427,12 @@ def cyclotomic4_poly(rng):
             return rng.choice([ONE_PLUS_W, ONE_PLUS_W2])
         return CyclotomicElement(4, tuple(rng.randint(-2, 2) for _ in range(3)))
 
-    return DensePolynomial(sparse_coeffs(rng, draw, CyclotomicElement.zero(4)))
+    return DensePolynomial(sparse_coeffs(rng, draw, ring_zero(CyclotomicElement, 4)))
 
 
 def form3_poly(rng):
     draw = lambda: form(3, rng.randint(-3, 3), rng.randint(-3, 3))  # noqa: E731
-    return DensePolynomial(sparse_coeffs(rng, draw, ZeroSumForm.zero(3)))
+    return DensePolynomial(sparse_coeffs(rng, draw, ring_zero(ZeroSumForm, 3)))
 
 
 RINGS = {"int": int_poly, "cyclotomic4": cyclotomic4_poly, "form": form3_poly}
@@ -459,8 +461,8 @@ class TestSparseMulAgainstDenseOracle:
         assert_same_poly(a * b, dense_mul(a, b))
 
     def test_zero_divisors_cancel_top_coefficient(self):
-        a = DensePolynomial([CyclotomicElement.one(4), ONE_PLUS_W])
-        b = DensePolynomial([CyclotomicElement.one(4), ONE_PLUS_W2])
+        a = DensePolynomial([cyclotomic_int(4, 1), ONE_PLUS_W])
+        b = DensePolynomial([cyclotomic_int(4, 1), ONE_PLUS_W2])
         product = a * b
         assert product.degree == 1
         assert_same_poly(product, dense_mul(a, b))
