@@ -10,6 +10,12 @@ closed before the output was written.  `factor` and `identities` compute
 on integer columns and build no ring value: `factor --symbolic` reads the
 one symbol table, rings.symbol_columns, and `--coeffs` the given ints.
 
+A job holds one listing at a time.  `lehmer` checks before it lists its
+payload, and turns that into text one class at a time.  Output is written
+in pieces: text lines are printed without being joined first, and a JSON
+array longer than _CHUNK items is encoded a chunk at a time by json.dumps
+itself (_json_pieces), so the bytes are json.dumps's own.
+
 main runs each job (the command and its output) with the cyclic garbage
 collector paused, and switches it back on only if it was on at entry.  A
 job makes no reference cycle, so refcounting frees all it allocates and
@@ -136,12 +142,16 @@ def _cmd_factor(args):
 def _cmd_lehmer(args):
     weights = _parse_int_list(args.mu, "--mu")
     spec = LehmerSpec(args.p, tuple(weights), args.budget)
-    classes = lehmer_expand(spec)
+    # One listing alive at a time: the check's is freed before the
+    # payload's is made, and that one becomes text a class at a time.
     report = lehmer_verify(spec)
+    classes = list(lehmer_expand(spec))
+    for k, cls in enumerate(classes):
+        classes[k] = [(str(value), mult) for value, mult in cls]
     result = {
         "p": args.p,
         "mu": list(spec.mu),
-        "classes": [[[str(value), mult] for value, mult in cls] for cls in classes],
+        "classes": classes,
         "power_sums": [[str(s) for s in row] for row in report.power_sums],
         "equal_up_to": report.equal_up_to,
         "first_violation": (
@@ -196,14 +206,14 @@ def _check_line(csv, key, label, flag):
     return f"{label}: {'pass' if flag else 'FAIL'}"
 
 
-def _class_and_sum_lines(csv, classes, sums, equal_up_to, csv_key, sep=" "):
-    """Class rows, power-sum rows and the agreement degree; `classes` holds
-    each class's cells as text, `sep` joins them in plain output."""
+def _class_and_sum_lines(csv, class_texts, sums, equal_up_to, csv_key):
+    """Class rows, power-sum rows and the agreement degree; `class_texts`
+    gives each class's cells, joined, as its line is made."""
     if csv:
-        lines = [f"class,{k}," + ",".join(cells) for k, cells in enumerate(classes)]
+        lines = [f"class,{k},{text}" for k, text in enumerate(class_texts)]
         lines += [f"sum,{m}," + ",".join(row) for m, row in enumerate(sums)]
         return lines + [f"{csv_key},{equal_up_to}"]
-    lines = [f"class {k}: " + sep.join(cells) for k, cells in enumerate(classes)]
+    lines = [f"class {k}: {text}" for k, text in enumerate(class_texts)]
     lines += [f"m={m}: " + " ".join(row) for m, row in enumerate(sums)]
     return lines + [f"equal power sums through degree {equal_up_to}"]
 
@@ -219,18 +229,21 @@ def _violation_line(csv, violation, checked_through=None):
     return f"first violation at m={m} between classes {j} and {k}"
 
 
-# (index, term) pairs per % format of the ptm csv body.  One format over the
-# whole block would hold every pair's index object and two tuple slots at
-# once, and raise a run's peak memory; a chunk this size holds about 200 KB.
-_CSV_CHUNK = 4096
+# Items per piece of a long output: (index, term) pairs per % format of the
+# ptm csv body, or array items per json.dumps call.  One format or one call
+# over a whole block would hold every pair's index object and two tuple
+# slots, or every item's text, at once and raise a run's peak memory.  A
+# chunk this size holds about 100 KB in a csv format, and about 0.4 MB in a
+# json.dumps call on `lehmer` (value, multiplicity) cells (0.8 MB at 4096).
+_CHUNK = 2048
 
 
 def _render_ptm(result, csv):
     sequence = result["sequence"]
     if csv:
         lines = ["n,value"]
-        for start in range(0, len(sequence), _CSV_CHUNK):
-            part = sequence[start:start + _CSV_CHUNK]
+        for start in range(0, len(sequence), _CHUNK):
+            part = sequence[start:start + _CHUNK]
             pairs = tuple(chain.from_iterable(enumerate(part, start)))
             lines.append("\n".join(["%d,%d"] * len(part)) % pairs)
         return lines
@@ -239,9 +252,11 @@ def _render_ptm(result, csv):
 
 
 def _render_partition(result, csv):
-    classes = [[str(n) for n in cls] for cls in result["classes"]]
+    # One class's cells at a time: each list is freed once it is joined.
+    sep = "," if csv else " "
+    texts = (sep.join([str(n) for n in cls]) for cls in result["classes"])
     lines = _class_and_sum_lines(
-        csv, classes, result["power_sums"], result["esp_verified_through"],
+        csv, texts, result["power_sums"], result["esp_verified_through"],
         "esp_verified_through",
     )
     if "first_violation" in result:
@@ -265,14 +280,16 @@ def _render_factor(result, csv):
 
 def _render_lehmer(result, csv):
     if csv:
-        classes = [[f"{value}:{mult}" for value, mult in cls] for cls in result["classes"]]
+        texts = (
+            ",".join([f"{value}:{mult}" for value, mult in cls]) for cls in result["classes"]
+        )
     else:
-        classes = [
-            [value if mult == 1 else f"{value} (x{mult})" for value, mult in cls]
+        texts = (
+            ", ".join([value if mult == 1 else f"{value} (x{mult})" for value, mult in cls])
             for cls in result["classes"]
-        ]
+        )
     lines = _class_and_sum_lines(
-        csv, classes, result["power_sums"], result["equal_up_to"], "equal_up_to", sep=", "
+        csv, texts, result["power_sums"], result["equal_up_to"], "equal_up_to"
     )
     if csv:
         lines.append(_violation_line(csv, result["first_violation"]))
@@ -292,6 +309,66 @@ def _render_identities(result, csv):
     return lines
 
 
+def _holds_long_array(value):
+    """Whether value is, or holds, a list or tuple longer than one chunk.
+
+    A dict is looked at through all its values, a shorter list or tuple
+    through its first item only: the class lists of a payload are all of
+    one length, or close to it, and looking at every item of a short list
+    of rows, such as a `factor` payload's coefficients, would cost a short
+    job tens of microseconds.
+    """
+    if isinstance(value, dict):
+        return any(map(_holds_long_array, value.values()))
+    if not isinstance(value, (list, tuple)):
+        return False
+    return len(value) > _CHUNK or (bool(value) and _holds_long_array(value[0]))
+
+
+def _json_pieces(value):
+    """The text of json.dumps(value, check_circular=False), in pieces.
+
+    A value that holds no long array is one json.dumps call.  A long list
+    or tuple is encoded one chunk of items at a time, and a dict, list or
+    tuple holding one item by item, so no call holds the text of every item
+    of a long array at once; the pieces are json.dumps's own text joined by
+    its own ", " and ": ".  A dict's items that hold no long array are
+    encoded together between the ones that do, one call per run of them,
+    since each call has a fixed cost of a few microseconds.  Dict keys must
+    be str, as in every envelope.
+    """
+    if not _holds_long_array(value):
+        yield json.dumps(value, check_circular=False)
+    elif isinstance(value, dict):
+        sep, run = "{", {}
+        for key, item in value.items():
+            if not _holds_long_array(item):
+                run[key] = item
+                continue
+            if run:
+                yield sep + json.dumps(run, check_circular=False)[1:-1]
+                sep, run = ", ", {}
+            yield f"{sep}{json.dumps(key)}: "
+            yield from _json_pieces(item)
+            sep = ", "
+        if run:
+            yield sep + json.dumps(run, check_circular=False)[1:-1]
+        yield "}"
+    elif len(value) > _CHUNK:
+        sep = "["
+        for start in range(0, len(value), _CHUNK):
+            yield sep + json.dumps(value[start:start + _CHUNK], check_circular=False)[1:-1]
+            sep = ", "
+        yield "]"
+    else:
+        sep = "["
+        for item in value:
+            yield sep
+            yield from _json_pieces(item)
+            sep = ", "
+        yield "]"
+
+
 def _emit(args, echo, result, elapsed_ms):
     """Print a command's result; the json params are the common options
     around the command's own `echo`."""
@@ -304,9 +381,10 @@ def _emit(args, echo, result, elapsed_ms):
             "elapsed_ms": elapsed_ms,
         }
         # Every envelope is a fresh tree, so no cycle can occur.
-        print(json.dumps(envelope, check_circular=False))
+        sys.stdout.writelines(_json_pieces(envelope))
+        print()
     else:
-        print("\n".join(args.render(result, args.format == "csv")))
+        print(*args.render(result, args.format == "csv"), sep="\n")
 
 
 def build_parser():

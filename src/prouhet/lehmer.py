@@ -125,14 +125,19 @@ def product_identity_sides(params):
     p = params.p
     *classes, last = weighted_classes(p, params.weights)
     # reduce_zero_sum on every row at once: each column starts from minus
-    # the histogram of class p - 1, the coefficients of w^{p-1}.
+    # the histogram of class p - 1, the coefficients of w^{p-1}.  Each
+    # class list is dropped once it is counted, so the lists and the
+    # columns are never all alive at once.
     minus_last = [0] * params.block_length
     for v in last:
         minus_last[v] -= 1
+    del last
     lhs = []
-    for values in classes:
+    for k, values in enumerate(classes):
+        classes[k] = None
         column = list(minus_last)
         for v in values:
             column[v] += 1
         lhs.append(column)
+    del values
     return lhs, block_columns(ptm_block(params), symbol_columns(p))

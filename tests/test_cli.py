@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,9 @@ from prouhet import (
     ptm_block,
     ptm_term,
 )
-from prouhet.cli import main
+from prouhet.cli import _CHUNK, _json_pieces, main
 from prouhet.factorization import division_columns
+from prouhet.lehmer import lehmer_verify
 
 SPEC_PARTITION_RESULT = {
     "p": 2,
@@ -569,6 +571,105 @@ class TestCollectorPause:
         gc.collect()
         assert main(argv) == exit_code
         assert gc.collect() == 0
+
+
+def traced_peak(call):
+    """call's result and the most memory it had traced at once, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestOneCopyAtATime:
+    """A job holds one listing at a time, and long JSON arrays are encoded
+    a chunk at a time."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_lehmer_job_peaks_near_its_check(self, capsys, fmt):
+        # The check's listing is freed before the payload's is made, and
+        # the payload becomes text a class at a time.  On Python 3.11 this
+        # reads 1.10-1.19 of the check's peak; holding both listings read
+        # 1.70-2.07, so the bound sits between the two.
+        argv = LEHMER_9 + ["--format", fmt]
+        assert main(argv) == 0  # warm-up: caches such as the parser fill here
+        capsys.readouterr()
+        spec = LehmerSpec(3, [int(w) for w in LEHMER_9[-1].split(",")])
+        report, check_peak = traced_peak(lambda: lehmer_verify(spec))
+        assert report.equal_up_to == 8
+        code, job_peak = traced_peak(lambda: main(argv))
+        assert code == 0 and capsys.readouterr().out
+        assert job_peak <= 1.45 * check_peak
+
+    def test_ptm_json_job_peaks_near_its_block_and_output(self, capsys):
+        # One json.dumps call on the whole block held a string per term:
+        # about 4 MB for this job, 5.3 times its block and output.  Chunked,
+        # it reads 1.2 times on Python 3.11.
+        argv = ["ptm", "--p", "2", "--n", "16"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        code, peak = traced_peak(lambda: main(argv))
+        out = capsys.readouterr().out
+        assert code == 0 and json.loads(out)["result"]["sequence"][:4] == [0, 1, 1, 0]
+        assert peak <= 2.5 * (sys.getsizeof(ptm_block(PTMParams(2, 16))) + len(out))
+
+    @pytest.mark.parametrize("argv", [
+        ["ptm", "--p", "3", "--n", "8"],
+        ["partition", "--p", "2", "--m", "12"],
+        ["lehmer", "--p", "2", "--mu", ",".join(str(3**j) for j in range(13))],
+    ], ids=" ".join)
+    def test_chunked_envelopes_are_json_dumps_text(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["identities", "--p", "3", "--m", "4"],
+        ["factor", "--p", "2", "--n", "9", "--symbolic"],
+    ], ids=" ".join)
+    def test_short_envelopes_take_one_json_dumps_call(self, capsys, monkeypatch, argv):
+        calls = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == dumps(calls[0][0]) + "\n"
+
+
+def _pairs(k):
+    return [[str(10**12 + 7 * i), i % 3 + 1] for i in range(k)]
+
+
+class TestJsonPieces:
+    @pytest.mark.parametrize("value", [
+        [],
+        list(range(_CHUNK)),
+        list(range(_CHUNK + 1)),
+        tuple(tuple(range(k, 3 * _CHUNK + k)) for k in range(3)),
+        [_pairs(_CHUNK + 1 + k) for k in range(3)],
+        {"p": 3, "classes": [_pairs(2 * _CHUNK) for _ in range(3)], "esc": ["a\"b", "\u00e9"],
+         "\u00e9 \"key\"": list(range(_CHUNK + 2)), "none": None, "empty": {}},
+    ], ids=["empty", "one chunk", "one chunk and one", "tuple of tuples", "lists of pairs",
+            "dict"])
+    def test_gives_the_bytes_of_json_dumps(self, monkeypatch, value):
+        lengths = []
+        dumps = json.dumps
+
+        def counted(obj, **kwargs):
+            lengths.append(len(obj) if isinstance(obj, (list, tuple)) else 0)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        assert "".join(_json_pieces(value)) == dumps(value)
+        assert max(lengths) <= _CHUNK  # no call encodes a whole long array
 
 
 class TestColdStart:

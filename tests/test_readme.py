@@ -5,9 +5,11 @@ import io
 import json
 import re
 import shlex
+import types
 from ast import literal_eval
 from pathlib import Path
 
+import prouhet
 from prouhet.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -71,3 +73,15 @@ def test_cli_examples_exit_0_with_the_documented_values():
     assert "8/60/620/7200" in comment
     assert "/".join(row[0] for row in partition["power_sums"]) == "8/60/620/7200"
     assert partition == json.loads(fenced("json")[0])
+
+
+def test_all_is_what_the_library_section_uses():
+    # Every public package name the Library section mentions, and no other.
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    names = {
+        word for word in re.findall(r"\w+", section)
+        if not word.startswith("_") and word in vars(prouhet)
+        and not isinstance(vars(prouhet)[word], types.ModuleType)
+    }
+    assert sorted(prouhet.__all__) == sorted(names)
+    assert all(hasattr(prouhet, name) for name in prouhet.__all__)
