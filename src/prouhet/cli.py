@@ -87,7 +87,6 @@ def _cmd_partition(args):
     params = PTMParams.from_degree(args.p, args.m, args.budget)
     through = args.m if args.check_beyond is None else max(args.m, args.check_beyond)
     report = verify_esp(params, through)
-    assert len(report.power_sums) > args.m  # ESP holds through m <= through
     result = {
         "p": args.p,
         "m": args.m,
@@ -104,10 +103,21 @@ def _cmd_partition(args):
     return echo, result, report.equal_up_to >= args.m
 
 
+def _check_coordinate_cells(params):
+    """Gate the (p - 1) * p**n int cells of a block's coordinate columns on the budget."""
+    cells = (params.p - 1) * params.block_length
+    if cells > params.budget:
+        raise BudgetExceededError(
+            f"{cells} coordinate cells of {params.p}**{params.n} terms "
+            f"exceed budget {params.budget}"
+        )
+
+
 def _cmd_factor(args):
     params = PTMParams(args.p, args.n, args.budget)
-    mode = "symbolic" if args.symbolic else "integer"
-    if args.symbolic:
+    symbolic = args.mode == "symbolic"
+    if symbolic:
+        _check_coordinate_cells(params)
         columns = symbol_columns(args.p)
     else:
         values = _parse_int_list(args.coeffs, "--coeffs")
@@ -122,20 +132,20 @@ def _cmd_factor(args):
     recursive = strip_zero_rows([recursive_column(params.n, c) for c in columns])
     product_check = times_binomial_columns(params, cofactor) == block
     agree = cofactor == recursive
-    vector_payload = _columns_payload(columns, args.symbolic)
+    vector_payload = _columns_payload(columns, symbolic)
     (divisor,) = times_binomial_columns(params, [[1]])
     result = {
         "p": args.p,
         "n": args.n,
-        "mode": mode,
+        "mode": args.mode,
         "vector": vector_payload,
         "ptm_poly": list(map(vector_payload.__getitem__, labels[: len(block[0])])),
         "divisor": list(map(_UNIT_TEXT.__getitem__, divisor)),
-        "cofactor": _columns_payload(cofactor, args.symbolic),
+        "cofactor": _columns_payload(cofactor, symbolic),
         "product_check": product_check,
         "constructions_agree": agree,
     }
-    echo = {"n": args.n, "mode": mode, "coeffs": None if args.symbolic else args.coeffs}
+    echo = {"n": args.n, "mode": args.mode, "coeffs": args.coeffs}
     return echo, result, product_check and agree
 
 
@@ -163,6 +173,7 @@ def _cmd_lehmer(args):
 
 def _cmd_identities(args):
     params = PTMParams.from_degree(args.p, args.m, args.budget)
+    _check_coordinate_cells(params)
     lhs, rhs = product_identity_sides(params)
     first_mismatch = None
     if lhs != rhs:  # equal-length columns: name the first differing row
@@ -425,11 +436,7 @@ def build_parser():
     )
     part.add_argument("--m", type=int, required=True, help="guaranteed agreement degree, >= 0")
     part.add_argument(
-        "--check-beyond",
-        type=int,
-        default=None,
-        dest="check_beyond",
-        help="also report power-sum status up to this degree",
+        "--check-beyond", type=int, help="also report power-sum status up to this degree"
     )
 
     factor = command(
@@ -441,9 +448,8 @@ def build_parser():
     group.add_argument(
         "--coeffs", help="comma-separated integers of length p summing to zero"
     )
-    group.add_argument(
-        "--symbolic", action="store_true", help="use the generic symbolic vector"
-    )
+    group.add_argument("--symbolic", dest="mode", action="store_const", const="symbolic",
+                       default="integer", help="use the generic symbolic vector")
 
     lehmer = command(
         "lehmer", _cmd_lehmer, _render_lehmer,

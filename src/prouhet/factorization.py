@@ -96,27 +96,25 @@ class DensePolynomial:
         if not a or not b:
             return DensePolynomial()
         # Only nonzero pairs are multiplied, so the cost scales with the
-        # nonzero counts; gaps get the zero of the product's ring.
+        # nonzero counts; every slot starts at the zero of the product's ring.
         b_support = [(j, cb) for j, cb in enumerate(b) if cb]
-        out = [None] * (len(a) + len(b) - 1)
+        out = [0 * (a[-1] * b[-1])] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
                 continue
             for j, cb in b_support:
-                prod = ca * cb
-                k = i + j
-                out[k] = prod if out[k] is None else out[k] + prod
-        zero = 0 * (a[-1] * b[-1])
-        return DensePolynomial(zero if c is None else c for c in out)
+                out[i + j] = out[i + j] + ca * cb
+        return DensePolynomial(out)
 
     def exact_div(self, divisor):
         """Exact quotient by a divisor whose constant term is a unit (+1 or
         -1); raises NotDivisibleError otherwise.
 
         Valid over any of the coefficient rings: the only inverse ever taken
-        is of the +-1 pivot.  Exactness is read off the recurrence's own
-        leftover top coefficients, which must vanish.  NotDivisibleError
-        carries the remainder self - quotient * divisor.
+        is of the +-1 pivot.  The recurrence runs over all len(self) terms,
+        so q is the power series self / divisor to that order; the division
+        is exact exactly when q is zero from the quotient's length on.
+        NotDivisibleError carries the remainder self - quotient * divisor.
         """
         if not isinstance(divisor, DensePolynomial):
             raise TypeError("divisor must be a DensePolynomial")
@@ -133,26 +131,16 @@ class DensePolynomial:
         sign = g[0]
         support = [(i, gi) for i, gi in enumerate(g) if i > 0 and gi]
         q = []
-        for j in range(qlen):
+        for j in range(len(f)):
             acc = f[j]
             for i, gi in support:
                 if i > j:
                     break
                 acc = acc - gi * q[j - i]
             q.append(acc if sign == 1 else -acc)
-        quotient = DensePolynomial(q)
-        # f - q*g vanishes below qlen by construction; at j >= qlen its
-        # coefficient is f[j] - sum g[i]*q[j-i], so the division is exact
-        # exactly when all of those leftovers vanish.
-        for j in range(qlen, len(f)):
-            acc = f[j]
-            for i, gi in support:
-                if i > j:
-                    break
-                if j - i < qlen:
-                    acc = acc - gi * q[j - i]
-            if acc:
-                raise NotDivisibleError(self - quotient * divisor)
+        quotient = DensePolynomial(q[:qlen])
+        if any(q[qlen:]):
+            raise NotDivisibleError(self - quotient * divisor)
         return quotient
 
     def __eq__(self, other):

@@ -42,14 +42,6 @@ class LehmerSpec(namedtuple("LehmerSpec", "p mu budget")):
         PTMParams(p, len(mu), budget)
         return super().__new__(cls, p, mu, budget)
 
-    @classmethod
-    def base_powers(cls, p, degree, budget=DEFAULT_BUDGET):
-        """Weights (1, p, ..., p**degree), the digit-sum partition case.
-
-        The degree, base and budget are checked before any weight is built.
-        """
-        return cls(p, PTMParams.from_degree(p, degree, budget).weights, budget)
-
     @property
     def degree(self):
         """Highest guaranteed degree of power-sum agreement: len(mu) - 1."""

@@ -215,9 +215,6 @@ class ZeroSumForm(ZeroSumCoordinates):
     # perfbench/spans.py wraps __init__ in this class's own dict.
     __init__ = ZeroSumCoordinates.__init__
 
-    # The form a_index; taken from the class dict so that cls is ZeroSumForm.
-    generator = vars(ZeroSumCoordinates)["basis"]
-
     @staticmethod
     def _int_coeffs(p, value):  # the only int in the span of the symbols is 0
         return None if value else (0,) * (p - 1)

@@ -138,7 +138,7 @@ class ZeroSumVector:
     @classmethod
     def symbolic(cls, p):
         """The generic vector (a_0, ..., a_{p-1}) with a_{p-1} eliminated."""
-        return cls(tuple(ZeroSumForm.generator(p, i) for i in range(p)))
+        return cls(tuple(ZeroSumForm.basis(p, i) for i in range(p)))
 
     def __len__(self):
         return self.p

@@ -177,8 +177,9 @@ def test_criterion_7_lehmer_sweep(capsys):
                     assert result.first_violation is None, (p, mu, result)
                     assert result.equal_up_to == m
                 # base-power weights reproduce the digit-sum partition classwise
-                classes = lehmer_expand(LehmerSpec.base_powers(p, m))
-                part = prouhet_partition(PTMParams.from_degree(p, m))
+                params = PTMParams.from_degree(p, m)
+                classes = lehmer_expand(LehmerSpec(p, params.weights))
+                part = prouhet_partition(params)
                 assert all(mult == 1 for cls in classes for _, mult in cls)
                 assert tuple(tuple(v for v, _ in cls) for cls in classes) == part
 
@@ -192,7 +193,7 @@ def test_criterion_8_three_way_oracle_agreement(capsys):
             for m in range(0, 4):
                 params = PTMParams.from_degree(p, m)
                 table = power_sum_table(params)
-                classes = lehmer_expand(LehmerSpec.base_powers(p, m))
+                classes = lehmer_expand(LehmerSpec(p, params.weights))
                 for exp in range(m + 1):
                     direct = table[exp]
                     # Lehmer enumeration at base-power weights

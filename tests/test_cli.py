@@ -140,6 +140,18 @@ class TestPartitionCommand:
         assert envelope["result"]["checked_through"] == 100000
         assert envelope["result"]["first_violation"] == [4, 0, 1]
 
+    def test_unequal_row_below_m_exits_1_with_its_rows(self, capsys, monkeypatch):
+        def rows(p, weights):
+            for r, row in enumerate(class_power_sums(p, weights)):
+                yield (row[0] + 7,) + row[1:] if r == 1 else row
+
+        monkeypatch.setattr(prouhet.partition, "class_power_sums", rows)
+        code, envelope = run_json(capsys, ["partition", "--p", "2", "--m", "3"])
+        assert code == 1
+        result = envelope["result"]
+        assert result["power_sums"] == [["8", "8"], ["67", "60"]]
+        assert result["esp_verified_through"] == 0
+
     def test_rejects_negative_check_beyond(self, capsys):
         code = main(["partition", "--p", "2", "--m", "2", "--check-beyond", "-3"])
         assert code == 2
@@ -395,7 +407,7 @@ class TestIdentitiesCommand:
             monkeypatch.setattr(module, "class_power_sums", rows)
         code, envelope = run_json(capsys, ["identities", "--p", "4", "--m", "3"])
         assert code == 1
-        expected = lehmer_weighted_sum(LehmerSpec.base_powers(4, 3), broken)
+        expected = lehmer_weighted_sum(LehmerSpec(4, (1, 4, 16, 64)), broken)
         result = envelope["result"]
         assert result["first_nonvanishing"] == {
             "m": broken,
@@ -452,6 +464,46 @@ class TestIdentitiesCommand:
         assert main(["identities", "--p", "3", "--m", str(m)]) == 0
         assert built == ["PTMParams"]
         assert json.loads(capsys.readouterr().out)["result"]["all_pass"] is True
+
+
+class TestCoordinateCellBudget:
+    """`factor --symbolic` and `identities` build p - 1 integer columns of
+    p**n cells each, and count every cell against --budget before listing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "--p", "4000", "--n", "1", "--symbolic"],
+            ["identities", "--p", "4000", "--m", "0"],
+        ],
+    )
+    def test_oversized_base_exits_3_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: 15996000 coordinate cells of 4000**1 terms exceed budget 10000000\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["factor", "--p", "3", "--n", "2", "--symbolic"], ["identities", "--p", "3", "--m", "1"]],
+    )
+    def test_budget_boundary_is_the_cell_count(self, capsys, argv):
+        assert main(argv + ["--budget", "17"]) == 3  # 2 columns of 3**2 terms
+        assert "18 coordinate cells of 3**2 terms exceed budget 17" in capsys.readouterr().err
+        assert main(argv + ["--budget", "18"]) == 0
+
+    def test_integer_coeffs_are_one_column(self, capsys):
+        assert main(["factor", "--p", "3", "--n", "2", "--coeffs", "1,1,-2", "--budget", "9"]) == 0
+
+    def test_a_thousand_classes_still_fit(self, capsys):
+        code, envelope = run_json(capsys, ["identities", "--p", "1000", "--m", "0"])
+        assert code == 0
+        assert envelope["result"]["all_pass"] is True
 
 
 # A lehmer job listing 3**9 = 19,683 digit tuples, whose values are distinct.

@@ -124,7 +124,7 @@ class TestDivision:
         f = [ZeroSumForm(p, [rng.randint(-3, 3) for _ in range(p - 1)])
              for _ in range(rng.randint(2, 10))]
         if not f[-1]:
-            f[-1] = ZeroSumForm.generator(p, 0)
+            f[-1] = ZeroSumForm.basis(p, 0)
         d = rng.randint(1, len(f) - 1)
         columns = coordinate_columns(f, f[-1])
         try:

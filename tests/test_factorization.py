@@ -522,3 +522,41 @@ class TestExactDivAgainstDenseOracle:
         quotient = f.exact_div(divisor)
         monkeypatch.undo()
         assert quotient == cofactor_recursive(params, a)
+
+
+# A nonzero coefficient of each ring, for when a draw gives none.
+UNITS = {"int": 1, "cyclotomic4": cyclotomic_int(4, 1), "form": form(3, 1, 0)}
+
+
+def nonzero_poly(ring, rng):
+    """A polynomial drawn from RINGS[ring], or the ring's 1-term one if it is zero."""
+    return RINGS[ring](rng) or DensePolynomial([UNITS[ring]])
+
+
+class TestExactDivRecurrence:
+    """exact_div runs its quotient recurrence over every term of f, so q is
+    the power series f / g to that order; f is divisible exactly when q
+    vanishes from the quotient's length on.  Products here come from the
+    production multiply; g has a +-1 constant term and is often more than a
+    binomial."""
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @random_cases
+    def test_product_divides_back(self, ring, rng):
+        f, g = nonzero_poly(ring, rng), unit_pivot_divisor(rng)
+        assert_same_poly((f * g).exact_div(g), f)
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @random_cases
+    def test_one_term_above_the_quotient_is_the_remainder(self, ring, rng):
+        f, g = nonzero_poly(ring, rng), unit_pivot_divisor(rng)
+        fg = f * g
+        qlen = len(fg.coeffs) - len(g.coeffs) + 1
+        j = rng.randrange(qlen, len(fg.coeffs))
+        c = rng.choice([c for c in nonzero_poly(ring, rng).coeffs if c])
+        if j == fg.degree and not fg.coeffs[j] + c:
+            c = -c  # keep the top term, and with it the quotient's length
+        term = shifted(DensePolynomial([c]), j)
+        with pytest.raises(NotDivisibleError) as err:
+            (fg + term).exact_div(g)
+        assert err.value.remainder == term

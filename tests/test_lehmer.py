@@ -2,7 +2,6 @@ import itertools
 import random
 import re
 import sys
-import time
 import tracemalloc
 from collections import Counter
 
@@ -104,15 +103,6 @@ class TestLehmerSpec:
         with pytest.raises(ValueError):
             LehmerSpec(2, (1,), budget=0)
 
-    def test_base_powers(self):
-        assert LehmerSpec.base_powers(3, 2).mu == (1, 3, 9)
-
-    def test_base_powers_checks_budget_before_building_weights(self):
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceededError):
-            LehmerSpec.base_powers(3, 100000, budget=10)
-        assert time.perf_counter() - start < 1.0
-
     def test_value_type(self):
         spec = LehmerSpec(2, [1, 2])
         assert spec.mu == (1, 2)
@@ -137,12 +127,6 @@ class TestLehmerSpec:
     def test_validation_messages(self, args, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             LehmerSpec(*args)
-
-    def test_base_powers_keeps_validation_order(self):
-        with pytest.raises(ValueError):
-            LehmerSpec.base_powers(1, 100000, budget=10)
-        with pytest.raises(ValueError):
-            LehmerSpec.base_powers(3, 100000, budget=0)
 
 
 class TestLehmerExpand:

@@ -136,22 +136,22 @@ class TestCyclotomic:
 
 class TestZeroSumForm:
     def test_generator_examples(self):
-        assert ZeroSumForm.generator(3, 0) == ZeroSumForm(3, (1, 0))
-        assert ZeroSumForm.generator(3, 2) == ZeroSumForm(3, (-1, -1))
+        assert ZeroSumForm.basis(3, 0) == ZeroSumForm(3, (1, 0))
+        assert ZeroSumForm.basis(3, 2) == ZeroSumForm(3, (-1, -1))
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_generators_sum_to_zero(self, p):
         total = ring_zero(ZeroSumForm, p)
         for i in range(p):
-            total = total + ZeroSumForm.generator(p, i)
+            total = total + ZeroSumForm.basis(p, i)
         assert not total
         assert total == 0
 
     def test_generator_out_of_range(self):
         with pytest.raises(IndexError):
-            ZeroSumForm.generator(3, 3)
+            ZeroSumForm.basis(3, 3)
         with pytest.raises(IndexError):
-            ZeroSumForm.generator(3, -1)
+            ZeroSumForm.basis(3, -1)
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_module_axioms(self, p):
@@ -166,12 +166,12 @@ class TestZeroSumForm:
             assert (c * d) * f == c * (d * f)
 
     def test_products_of_symbols_rejected(self):
-        f = ZeroSumForm.generator(3, 0)
+        f = ZeroSumForm.basis(3, 0)
         with pytest.raises(TypeError):
             f * f
 
     def test_nonzero_integer_addition_rejected(self):
-        a0, a1, a2 = (ZeroSumForm.generator(3, i) for i in range(3))
+        a0, a1, a2 = (ZeroSumForm.basis(3, i) for i in range(3))
         with pytest.raises(TypeError):
             a0 + 1
         with pytest.raises(TypeError):
@@ -193,18 +193,18 @@ class TestZeroSumForm:
     def test_specialize_generator_recovers_value(self):
         values = [4, -1, -3]
         for i in range(3):
-            assert specialize_form(ZeroSumForm.generator(3, i), values) == values[i]
+            assert specialize_form(ZeroSumForm.basis(3, i), values) == values[i]
 
     def test_specialize_rejects_nonzero_sum(self):
         with pytest.raises(ValueError):
-            specialize_form(ZeroSumForm.generator(3, 0), [1, 2, 3])
+            specialize_form(ZeroSumForm.basis(3, 0), [1, 2, 3])
 
     def test_equality_with_integers(self):
         assert ring_zero(ZeroSumForm, 5) == 0
-        assert ZeroSumForm.generator(5, 1) != 0
-        assert ZeroSumForm.generator(5, 1) != 1
+        assert ZeroSumForm.basis(5, 1) != 0
+        assert ZeroSumForm.basis(5, 1) != 1
         # a0 has the coordinates a cyclotomic 1 has, but is no integer.
-        assert ZeroSumForm.generator(2, 0) != 1
+        assert ZeroSumForm.basis(2, 0) != 1
         assert ZeroSumForm(3, (1, 0)) != 1
 
     def test_str(self):
@@ -235,8 +235,8 @@ class TestSharedCoordinates:
             (CyclotomicElement(2, (-4,)), -4),
             (ring_zero(ZeroSumForm, 3), 0),
             (
-                DensePolynomial((0, ZeroSumForm.generator(3, 1))),
-                DensePolynomial((ring_zero(ZeroSumForm, 3), ZeroSumForm.generator(3, 1))),
+                DensePolynomial((0, ZeroSumForm.basis(3, 1))),
+                DensePolynomial((ring_zero(ZeroSumForm, 3), ZeroSumForm.basis(3, 1))),
             ),
         ],
     )
@@ -256,7 +256,7 @@ class TestSharedCoordinates:
             assert ring.basis(p, k).coeffs == tuple(int(i == k) for i in range(p - 1))
         assert ring.basis(p, p - 1).coeffs == (-1,) * (p - 1)
         assert type(ring.basis(p, 0)) is ring
-        assert type(ZeroSumForm.generator(p, 0)) is ZeroSumForm
+        assert type(ZeroSumForm.basis(p, 0)) is ZeroSumForm
 
 
 class TestRingLaws:

@@ -173,7 +173,6 @@ class TestPTMParams:
             lambda budget: PTMParams(3, huge, budget),
             lambda budget: PTMParams.from_degree(3, huge, budget),
             lambda budget: LehmerSpec(3, (1,) * huge, budget),
-            lambda budget: LehmerSpec.base_powers(3, huge, budget),
         ]
         for build in builders:
             start = time.perf_counter()
@@ -233,7 +232,7 @@ class TestZeroSumVector:
     def test_symbolic_entries_are_generators(self):
         a = ZeroSumVector.symbolic(4)
         for i in range(4):
-            assert a[i] == ZeroSumForm.generator(4, i)
+            assert a[i] == ZeroSumForm.basis(4, i)
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_roots_of_unity_vector(self, p):
