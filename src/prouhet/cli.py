@@ -5,8 +5,9 @@ Output formats: json (default, an envelope with the payload under
 csv, and plain text.  Big integers always serialize as decimal strings.
 Exit codes: 0 success / all checks pass, 1 verification failure, including
 a division that leaves a remainder (NotDivisibleError, which means a bug),
-2 usage or validation error, 3 enumeration budget exceeded, 141 stdout
-closed before the output was written.  `factor` and `identities` compute
+2 usage or validation error, 3 enumeration budget exceeded, 74 stdout
+refused the output (EX_IOERR, e.g. a full device), 141 stdout closed
+before the output was written.  `factor` and `identities` compute
 on integer columns and build no ring value: `factor --symbolic` reads the
 one symbol table, rings.symbol_columns, and `--coeffs` the given ints.
 
@@ -21,7 +22,10 @@ collector paused, and switches it back on only if it was on at entry.  A
 job makes no reference cycle, so refcounting frees all it allocates and
 the collector would only re-trace live containers: a `lehmer --p 3` job
 with 9 weights holds tens of thousands of small tuples and lists at once.
-The pause toggles process-wide state; the library functions never do.
+It also lifts Python's limit on the digits of an int-to-str conversion
+(sys.set_int_max_str_digits) for the job, so big power sums print in full,
+and puts the caller's limit back on every exit.  Both toggle process-wide
+state; the library functions never do.
 """
 
 import argparse
@@ -54,6 +58,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_OUTPUT = 74  # EX_IOERR in sysexits.h
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as the shell reports `yes | head -1`
 
 
@@ -472,13 +477,16 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    # The collector is paused for the job (see the module docstring); a
-    # caller that had switched it off finds it off on every exit.
+    # The collector is paused and the digit limit lifted for the job (see
+    # the module docstring); a caller finds both as it left them on every exit.
     collecting = gc.isenabled()
+    digits = sys.get_int_max_str_digits()
     gc.disable()
+    sys.set_int_max_str_digits(0)
     try:
         return _run(args)
     finally:
+        sys.set_int_max_str_digits(digits)
         if collecting:
             gc.enable()
 
@@ -502,14 +510,17 @@ def _run(args):
     try:
         _emit(args, echo, result, elapsed_ms)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
-    except BrokenPipeError:
-        # The reader left (as `head` does).  Point stdout at devnull so the
-        # flush at exit stays quiet: the "Note on SIGPIPE" in Python's
-        # signal docs.
+    except OSError as exc:
+        # The reader left (as `head` does), or the write failed (a full
+        # device).  Point stdout at devnull so the flush at exit stays quiet:
+        # the "Note on SIGPIPE" in Python's signal docs.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

@@ -4,8 +4,6 @@ The sequence value at n is the sum of the base-p digits of n reduced mod p;
 the classical 0,1,1,0,1,0,0,1,... sequence is the case p = 2.
 """
 
-import functools
-import operator
 from collections import namedtuple
 from itertools import chain
 
@@ -116,46 +114,33 @@ def ptm_block_recursive(params):
     return block
 
 
-class ZeroSumVector:
+class ZeroSumVector(tuple):
     """Length-p coefficient vector whose entries sum to zero in their ring.
 
     Entries may be ints, CyclotomicElement values, or ZeroSumForm values.
-    The zero-sum constraint is checked on construction.
+    An immutable tuple of its entries, checked on construction: at least two
+    entries, summing to zero.
     """
 
-    __slots__ = ("p", "entries")
+    __slots__ = ()
 
-    def __init__(self, entries):
-        entries = tuple(entries)
-        if len(entries) < 2:
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        if len(self) < 2:
             raise ValueError("a zero-sum vector needs at least two entries")
-        total = functools.reduce(operator.add, entries)
+        total = sum(self)  # every entry's ring accepts 0 + x
         if total:
             raise ValueError(f"entries must sum to zero, got sum {total!s}")
-        self.p = len(entries)
-        self.entries = entries
+        return self
+
+    @property
+    def p(self):
+        return len(self)
 
     @classmethod
     def symbolic(cls, p):
         """The generic vector (a_0, ..., a_{p-1}) with a_{p-1} eliminated."""
-        return cls(tuple(ZeroSumForm.basis(p, i) for i in range(p)))
-
-    def __len__(self):
-        return self.p
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, index):
-        return self.entries[index]
-
-    def __eq__(self, other):
-        if not isinstance(other, ZeroSumVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((ZeroSumVector, self.entries))
+        return cls(ZeroSumForm.basis(p, i) for i in range(p))
 
     def __repr__(self):
-        return f"ZeroSumVector({self.entries!r})"
+        return f"ZeroSumVector({tuple.__repr__(self)})"

@@ -92,7 +92,7 @@ def roots_of_unity(p):
 def shift(vector, k):
     """The k-th left cyclic shift of a zero-sum vector (k reduced mod p)."""
     k %= vector.p
-    return ZeroSumVector(vector.entries[k:] + vector.entries[:k])
+    return ZeroSumVector(vector[k:] + vector[:k])
 
 
 def map_coeffs(poly, fn):

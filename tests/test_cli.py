@@ -1,5 +1,9 @@
+import contextlib
+import errno
 import gc
+import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -625,6 +629,63 @@ class TestCollectorPause:
         assert gc.collect() == 0
 
 
+# A lehmer job whose middle weight has 3001 digits: its degree-2 power sums
+# have 6001, past Python's default limit of 4300 on int-to-str digits.
+BIG_WEIGHTS = (1, 10**3000, 3)
+LEHMER_BIG = ["lehmer", "--p", "2", "--mu", ",".join(map(str, BIG_WEIGHTS))]
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Sets the limit on int-to-str digits, and puts the old one back."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestDigitLimit:
+    """main lifts the limit on int-to-str digits for the job."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_big_power_sums_print_in_full(self, capsys, fmt):
+        with int_digit_limit(4300):  # Python's default
+            code = main(LEHMER_BIG + ["--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        if fmt == "json":
+            sums = json.loads(out)["result"]["power_sums"]
+        elif fmt == "csv":
+            sums = [line.split(",")[2:] for line in out.splitlines() if line.startswith("sum,")]
+        else:
+            sums = [line.split(": ")[1].split(" ") for line in out.splitlines()
+                    if line.startswith("m=")]
+        with int_digit_limit(0):
+            rows = itertools.islice(class_power_sums(2, BIG_WEIGHTS), 3)
+            assert sums == [[str(s) for s in row] for row in rows]
+        assert len(sums[2][0]) == 6001
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["ptm", "--p", "2", "--n", "3"], 0), *ERROR_EXITS,
+    ])
+    def test_restores_the_callers_limit(self, capsys, monkeypatch, limit, argv, exit_code):
+        monkeypatch.setattr(prouhet.cli, "division_columns", _inexact_division)
+        run, seen = prouhet.cli._run, []
+
+        def spy(args):
+            seen.append(sys.get_int_max_str_digits())
+            return run(args)
+
+        monkeypatch.setattr(prouhet.cli, "_run", spy)
+        with int_digit_limit(limit):
+            assert main(argv) == exit_code
+            assert sys.get_int_max_str_digits() == limit
+        assert seen == [0]
+
+
 def traced_peak(call):
     """call's result and the most memory it had traced at once, in bytes."""
     tracemalloc.start()
@@ -811,6 +872,25 @@ class TestHarness:
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 141
         assert stderr == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("n", [3, 16])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_failed_write_exits_74_with_one_line(self, fmt, n):
+        # /dev/full refuses every write: a short output fails at the final
+        # flush, a long one (about 0.5 MB of csv at n = 16) mid-way.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "prouhet", "ptm", "--p", "2", "--n", str(n),
+                 "--format", fmt],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        reason = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert proc.returncode == 74
+        assert proc.stderr == f"error: cannot write output: {reason}\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

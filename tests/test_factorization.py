@@ -369,7 +369,7 @@ class TestSpecialization:
         symbolic_cofactor = cofactor_by_division(params, symbolic)
         for _ in range(3):
             concrete = random_zero_sum_vector(rng, p)
-            values = list(concrete.entries)
+            values = list(concrete)
             assert specialize(symbolic_cofactor, values) == cofactor_by_division(
                 params, concrete
             )

@@ -211,10 +211,45 @@ class TestPTMParams:
             PTMParams(*args)
 
 
+# Three entries in each ring a vector may hold; the first two sum to
+# nonzero, so each rejection below starts sum() from the int 0 in that ring.
+RING_ENTRIES = {
+    "int": (1, 2, -3),
+    "cyclotomic": (omega_pow(3, 0), omega_pow(3, 1), omega_pow(3, 2)),
+    "zero_sum_form": tuple(ZeroSumForm.basis(3, i) for i in range(3)),
+}
+
+
 class TestZeroSumVector:
-    def test_rejects_nonzero_sum_and_reports_it(self):
-        with pytest.raises(ValueError, match="sum 3"):
-            ZeroSumVector([1, 2])
+    @pytest.mark.parametrize("ring", sorted(RING_ENTRIES))
+    def test_rejects_nonzero_sum_and_reports_it(self, ring):
+        first, second, _ = RING_ENTRIES[ring]
+        message = f"entries must sum to zero, got sum {first + second}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ZeroSumVector([first, second])
+
+    @pytest.mark.parametrize("ring", sorted(RING_ENTRIES))
+    def test_rejects_fewer_than_two_entries(self, ring):
+        for entries in [(), RING_ENTRIES[ring][:1]]:
+            with pytest.raises(ValueError, match="^a zero-sum vector needs at least two entries$"):
+                ZeroSumVector(entries)
+
+    @pytest.mark.parametrize("ring", sorted(RING_ENTRIES))
+    def test_is_the_tuple_of_its_entries(self, ring):
+        entries = RING_ENTRIES[ring]
+        a = ZeroSumVector(iter(entries))
+        assert a == entries and entries == a
+        assert hash(a) == hash(entries)
+        assert {a: "vector"}[entries] == "vector"
+        assert a.p == len(a) == 3
+        assert list(a) == list(entries)
+        assert type(a[1:]) is tuple and a[1:] == entries[1:]
+
+    def test_repr(self):
+        assert repr(ZeroSumVector([1, 0, -1])) == "ZeroSumVector((1, 0, -1))"
+        assert repr(ZeroSumVector.symbolic(2)) == (
+            "ZeroSumVector((ZeroSumForm(2, (1,)), ZeroSumForm(2, (-1,))))"
+        )
 
     def test_shift_identity(self):
         a = ZeroSumVector([1, 1, -2])
@@ -222,7 +257,7 @@ class TestZeroSumVector:
 
     def test_shift_left_by_one(self):
         a = ZeroSumVector([5, -2, -3])
-        assert shift(a, 1).entries == (-2, -3, 5)
+        assert shift(a, 1) == (-2, -3, 5)
 
     def test_shift_full_cycle(self):
         a = ZeroSumVector([4, -1, -3])
