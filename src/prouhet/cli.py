@@ -3,19 +3,21 @@
 Output formats: json (default, an envelope with the payload under
 "result"; every field except the wall-clock "elapsed_ms" is deterministic),
 csv, and plain text.  Big integers always serialize as decimal strings.
-Exit codes: 0 success / all checks pass, 1 verification failure, including
-a division that leaves a remainder (NotDivisibleError, which means a bug),
-2 usage or validation error, 3 enumeration budget exceeded, 74 stdout
-refused the output (EX_IOERR, e.g. a full device), 141 stdout closed
-before the output was written.  `factor` and `identities` compute
-on integer columns and build no ring value: `factor --symbolic` reads the
-one symbol table, rings.symbol_columns, and `--coeffs` the given ints.
+Exit codes: 0 success / all checks pass, 1 verification failure, or a bug
+an exact check caught (a division with a remainder, a `lehmer` listing
+off its power-sum rows), 2 usage or validation error, 3 enumeration budget
+exceeded, 74 stdout refused the output (EX_IOERR, e.g. a full device), 141
+stdout closed before the output was written; a stderr that refuses the
+`error:` line changes none of them.  `factor` and `identities` compute on
+integer columns and build no ring value: `factor --symbolic` reads the one
+symbol table, rings.symbol_columns, and `--coeffs` the given ints.
 
-A job holds one listing at a time.  `lehmer` checks before it lists its
-payload, and turns that into text one class at a time.  Output is written
-in pieces: text lines are printed without being joined first, and a JSON
-array longer than _CHUNK items is encoded a chunk at a time by json.dumps
-itself (_json_pieces), so the bytes are json.dumps's own.
+A job holds one listing at a time.  `lehmer` ties a listing to its
+power-sum rows (lehmer_verify) before it lists its payload, and turns that
+into text one class at a time.  Output is written in pieces: text lines
+are printed without being joined first, and a JSON array longer than
+_CHUNK items is encoded a chunk at a time by json.dumps itself
+(_json_pieces), so the bytes are json.dumps's own.
 
 main runs each job (the command and its output) with the cyclic garbage
 collector paused, and switches it back on only if it was on at entry.  A
@@ -43,7 +45,7 @@ from itertools import chain
 from .factorization import binomial_product, cofactor_by_division  # noqa: F401
 from .factorization import cofactor_recursive, ptm_polynomial  # noqa: F401
 from .factorization import first_coefficient_mismatch  # noqa: F401
-from .factorization import NotDivisibleError, block_columns, division_columns
+from .factorization import block_columns, division_columns
 from .factorization import recursive_column, strip_zero_rows, times_binomial_columns
 # lehmer_weighted_sum and power_sum_table stay importable from here:
 # perfbench/spans.py wraps them by these names.
@@ -101,9 +103,7 @@ def _cmd_partition(args):
     }
     if args.check_beyond is not None:
         result["checked_through"] = through
-        result["first_violation"] = (
-            list(report.first_violation) if report.first_violation else None
-        )
+        result["first_violation"] = report.first_violation and list(report.first_violation)
     echo = {"m": args.m, "check_beyond": args.check_beyond}
     return echo, result, report.equal_up_to >= args.m
 
@@ -155,10 +155,8 @@ def _cmd_factor(args):
 
 
 def _cmd_lehmer(args):
-    weights = _parse_int_list(args.mu, "--mu")
-    spec = LehmerSpec(args.p, tuple(weights), args.budget)
-    # One listing alive at a time: the check's is freed before the
-    # payload's is made, and that one becomes text a class at a time.
+    spec = LehmerSpec(args.p, _parse_int_list(args.mu, "--mu"), args.budget)
+    # The check's listing is freed before the payload's, which becomes text a class at a time.
     report = lehmer_verify(spec)
     classes = list(lehmer_expand(spec))
     for k, cls in enumerate(classes):
@@ -169,9 +167,7 @@ def _cmd_lehmer(args):
         "classes": classes,
         "power_sums": [[str(s) for s in row] for row in report.power_sums],
         "equal_up_to": report.equal_up_to,
-        "first_violation": (
-            list(report.first_violation) if report.first_violation else None
-        ),
+        "first_violation": report.first_violation and list(report.first_violation),
     }
     return {"mu": args.mu}, result, report.first_violation is None
 
@@ -491,36 +487,43 @@ def main(argv=None):
             gc.enable()
 
 
+def _to_devnull(stream):
+    """Point stream at devnull, so the flush at exit retries no refused write."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(message, code):
+    """Print an `error:` line and give back code, even if stderr refuses it."""
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
+
+
 def _run(args):
     """Run the parsed command and print its output; the exit code."""
     start = time.perf_counter()
     try:
         echo, result, ok = args.handler(args)
     except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _error(exc, EXIT_BUDGET)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotDivisibleError as exc:
-        # Zero-sum vectors always divide out cleanly, so this is a bug.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        return _error(exc, EXIT_USAGE)
+    except ArithmeticError as exc:  # a division remainder or a listing off its rows: a bug
+        return _error(exc, EXIT_VERIFICATION)
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
     try:
         _emit(args, echo, result, elapsed_ms)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
     except OSError as exc:
-        # The reader left (as `head` does), or the write failed (a full
-        # device).  Point stdout at devnull so the flush at exit stays quiet:
-        # the "Note on SIGPIPE" in Python's signal docs.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader left (as `head` does) or a device is full: "Note on SIGPIPE", signal docs.
+        _to_devnull(sys.stdout)
         if isinstance(exc, BrokenPipeError):
             return EXIT_BROKEN_PIPE
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+        return _error(f"cannot write output: {exc}", EXIT_OUTPUT)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

@@ -13,7 +13,6 @@ exactly one product factor per weight (M+1 factors, strides p**0..p**M).
 """
 
 import itertools
-import operator
 from collections import Counter, namedtuple
 
 from .factorization import block_columns
@@ -63,23 +62,20 @@ def lehmer_expand(spec):
     return tuple(tuple(Counter(sorted(values)).items()) for values in classes)
 
 
-def _class_moments(pairs, degree):
-    """Multiplicity-weighted power sums of (value, multiplicity) pairs for
-    exponents 0..degree (0**0 = 1), one running power per value."""
-    values = [value for value, _ in pairs]
-    powers = [mult for _, mult in pairs]  # mult * value**0
-    sums = [sum(powers)]
-    for _ in range(degree):
-        powers = list(map(operator.mul, powers, values))
-        sums.append(sum(powers))
-    return sums
-
-
 def lehmer_verify(spec):
-    """Check equal multiset power sums across all p classes for m = 0..M,
-    as an EspReport."""
-    rows = zip(*(_class_moments(cls, spec.degree) for cls in lehmer_expand(spec)))
-    return scan_power_sums(rows, spec.degree)
+    """The EspReport of the class_power_sums rows for m = 0..M, tied to the
+    listing lehmer_expand gives at rows 0 and 1, read even when M = 0: a
+    class whose count or plain sum differs is a bug, and raises
+    ArithmeticError naming the class, the degree and both values."""
+    rows = class_power_sums(spec.p, spec.mu)
+    head = next(rows), next(rows)
+    for k, pairs in enumerate(lehmer_expand(spec)):
+        listed = sum(mult for _, mult in pairs), sum(value * mult for value, mult in pairs)
+        for degree, (got, row) in enumerate(zip(listed, head)):
+            if got != row[k]:
+                raise ArithmeticError(f"class {k} of the listing has degree-{degree} "
+                                      f"power sum {got}, but class_power_sums gives {row[k]}")
+    return scan_power_sums(itertools.chain(head, rows), spec.degree)
 
 
 def lehmer_weighted_sum(spec, exponent):

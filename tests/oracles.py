@@ -5,10 +5,13 @@ term, by repeated ring-generic division, or by multiplying DensePolynomial
 factors.  They stay slow and direct on purpose.  The ring helpers below
 them (binomials, shifts, ring constants, roots of unity) build the test
 vectors and polynomials; the package itself computes on integer columns.
+off_by_one_expand is a fault, not an oracle: a listing that disagrees
+with its power-sum rows.
 """
 
 import itertools
 
+import prouhet.lehmer
 from prouhet import (
     CyclotomicElement,
     DensePolynomial,
@@ -196,6 +199,21 @@ def multiset_power_sum(pairs, exponent):
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent!r}")
     return sum(mult * value**exponent for value, mult in pairs)
+
+
+def off_by_one_expand(degree):
+    """lehmer_expand with the first pair of its last class changed so that
+    the listing's degree-`degree` power sum is off: a multiplicity lowered
+    by 1 (the count moves) or a value raised by 1 (the plain sum moves, the
+    count does not)."""
+    real = prouhet.lehmer.lehmer_expand
+
+    def expand(spec):
+        *classes, ((value, mult), *rest) = real(spec)
+        pair = (value, mult - 1) if degree == 0 else (value + 1, mult)
+        return (*classes, (pair, *rest))
+
+    return expand
 
 
 def dense_product_lhs(p, degree):

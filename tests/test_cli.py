@@ -32,7 +32,9 @@ from prouhet import (
 )
 from prouhet.cli import _CHUNK, _json_pieces, main
 from prouhet.factorization import division_columns
-from prouhet.lehmer import lehmer_verify
+from prouhet.lehmer import lehmer_expand
+
+from oracles import off_by_one_expand
 
 SPEC_PARTITION_RESULT = {
     "p": 2,
@@ -322,6 +324,24 @@ class TestLehmerCommand:
         assert code == 0
         assert envelope["result"]["equal_up_to"] == 2
         assert envelope["result"]["first_violation"] is None
+
+    # A listing whose count (degree 0) or plain sum (degree 1) disagrees with
+    # its class_power_sums row is a bug: one error line, no payload.  A single
+    # weight (M = 0) ties row 1 all the same.
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("mu", ["1,2,4", "5"])
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_listing_off_its_rows_exits_1_with_one_line(self, capsys, monkeypatch, fmt, mu,
+                                                         degree):
+        monkeypatch.setattr(prouhet.lehmer, "lehmer_expand", off_by_one_expand(degree))
+        code = main(["lehmer", "--p", "3", "--mu", mu, "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert re.fullmatch(
+            rf"error: class 2 of the listing has degree-{degree} power sum \d+, "
+            r"but class_power_sums gives \d+\n",
+            captured.err,
+        )
 
     def test_rejects_nonpositive_weight(self, capsys):
         code = main(["lehmer", "--p", "2", "--mu", "1,0"])
@@ -705,17 +725,20 @@ class TestOneCopyAtATime:
     def test_lehmer_job_peaks_near_its_check(self, capsys, fmt):
         # The check's listing is freed before the payload's is made, and
         # the payload becomes text a class at a time.  On Python 3.11 this
-        # reads 1.10-1.19 of the check's peak; holding both listings read
-        # 1.70-2.07, so the bound sits between the two.
+        # reads 1.34-1.46 of a lone payload listing.  Holding both listings
+        # at once reads 1.86 (listing the payload before the check) to
+        # 2.53 (the code before the check ran first), so the bound sits
+        # between the two.
         argv = LEHMER_9 + ["--format", fmt]
         assert main(argv) == 0  # warm-up: caches such as the parser fill here
         capsys.readouterr()
         spec = LehmerSpec(3, [int(w) for w in LEHMER_9[-1].split(",")])
-        report, check_peak = traced_peak(lambda: lehmer_verify(spec))
-        assert report.equal_up_to == 8
+        classes, listing_peak = traced_peak(lambda: lehmer_expand(spec))
+        assert sum(mult for cls in classes for _, mult in cls) == 3**9
+        del classes
         code, job_peak = traced_peak(lambda: main(argv))
         assert code == 0 and capsys.readouterr().out
-        assert job_peak <= 1.45 * check_peak
+        assert job_peak <= 1.65 * listing_peak
 
     def test_ptm_json_job_peaks_near_its_block_and_output(self, capsys):
         # One json.dumps call on the whole block held a string per term:
@@ -891,6 +914,26 @@ class TestHarness:
         reason = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         assert proc.returncode == 74
         assert proc.stderr == f"error: cannot write output: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args,stdout_full,code", [
+        (["ptm", "--p", "1", "--n", "3"], False, 2),  # validation error
+        (["ptm", "--p", "2"], False, 2),  # argparse's own usage error
+        (["ptm", "--p", "2", "--n", "30"], False, 3),
+        (["ptm", "--p", "2", "--n", "3"], True, 74),
+        (["ptm", "--p", "2", "--n", "3"], False, 0),
+    ], ids=["validation", "usage", "budget", "write", "ok"])
+    def test_full_stderr_keeps_the_exit_code(self, args, stdout_full, code):
+        # The error line is lost, but the exit code is the one it names,
+        # and nothing else (no traceback, no retried flush) changes it.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "prouhet", *args],
+                stdout=full if stdout_full else subprocess.PIPE,
+                stderr=full,
+                timeout=60,
+            )
+        assert proc.returncode == code
 
     def test_module_entry_point(self):
         proc = subprocess.run(

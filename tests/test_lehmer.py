@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import prouhet.lehmer
 from prouhet import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -27,6 +28,7 @@ from oracles import (
     cyclotomic_int,
     identity_side_polynomials,
     multiset_power_sum,
+    off_by_one_expand,
     omega_pow,
     ring_zero,
     verify_product_identity,
@@ -197,6 +199,20 @@ class TestLehmerVerify:
         report = lehmer_verify(spec)
         for m in range(3):
             assert list(report.power_sums[m]) == brute_force_class_sums(3, (2, 5, 9), m)
+
+    # (5,) has one weight, so M = 0 and only the tie reads row 1.
+    @pytest.mark.parametrize("mu", [(1, 2, 4), (2, 2, 7), (5,)])
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_listing_off_its_rows_raises(self, monkeypatch, mu, degree):
+        spec = LehmerSpec(3, mu)
+        row = next(itertools.islice(class_power_sums(3, mu), degree, None))
+        _, mult = lehmer_expand(spec)[2][0]
+        listed = row[2] + (mult if degree else -1)
+        monkeypatch.setattr(prouhet.lehmer, "lehmer_expand", off_by_one_expand(degree))
+        message = (f"class 2 of the listing has degree-{degree} power sum {listed}, "
+                   f"but class_power_sums gives {row[2]}")
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            lehmer_verify(spec)
 
     @random_cases
     def test_sums_match_product_oracle(self, rng):
