@@ -14,10 +14,11 @@ symbol table, rings.symbol_columns, and `--coeffs` the given ints.
 
 A job holds one listing at a time.  `lehmer` ties a listing to its
 power-sum rows (lehmer_verify) before it lists its payload, and turns that
-into text one class at a time.  Output is written in pieces: text lines
-are printed without being joined first, and a JSON array longer than
-_CHUNK items is encoded a chunk at a time by json.dumps itself
-(_json_pieces), so the bytes are json.dumps's own.
+into text one class at a time.  Every format writes its output by one
+rule: a long array becomes text _CHUNK items at a time, and each line or
+piece is written as it is made.  A csv or plain class line joins its cells
+a chunk at a time, and JSON is json.dumps's own text, a chunk of items per
+call (_json_pieces), so its bytes are those of one json.dumps call.
 
 main runs each job (the command and its output) with the cyclic garbage
 collector paused, and switches it back on only if it was on at entry.  A
@@ -209,7 +210,22 @@ def _cmd_identities(args):
     return {"m": args.m}, result, identity_ok and vanish_ok
 
 
-# Each renderer gives a command's csv lines (csv=True) or plain lines.
+# Items per piece of a long output, in every format: array items per
+# json.dumps call, cells per join of a csv or plain class line, and
+# (index, term) pairs per % format of the ptm csv body.  Text made from a
+# whole array at once would hold every item's text, or every pair's index
+# object and two tuple slots, at once and raise a run's peak memory.  A
+# chunk this size holds about 100 KB in a csv format, and about 0.4 MB in a
+# json.dumps call on `lehmer` (value, multiplicity) cells (0.8 MB at 4096).
+_CHUNK = 2048
+
+
+def _chunks(items):
+    """The slices of items, _CHUNK items at a time."""
+    return (items[start:start + _CHUNK] for start in range(0, len(items), _CHUNK))
+
+
+# Each renderer yields a command's csv lines (csv=True) or plain lines.
 
 
 def _check_line(csv, key, label, flag):
@@ -221,13 +237,11 @@ def _check_line(csv, key, label, flag):
 def _class_and_sum_lines(csv, class_texts, sums, equal_up_to, csv_key):
     """Class rows, power-sum rows and the agreement degree; `class_texts`
     gives each class's cells, joined, as its line is made."""
-    if csv:
-        lines = [f"class,{k},{text}" for k, text in enumerate(class_texts)]
-        lines += [f"sum,{m}," + ",".join(row) for m, row in enumerate(sums)]
-        return lines + [f"{csv_key},{equal_up_to}"]
-    lines = [f"class {k}: {text}" for k, text in enumerate(class_texts)]
-    lines += [f"m={m}: " + " ".join(row) for m, row in enumerate(sums)]
-    return lines + [f"equal power sums through degree {equal_up_to}"]
+    for k, text in enumerate(class_texts):
+        yield f"class,{k},{text}" if csv else f"class {k}: {text}"
+    for m, row in enumerate(sums):
+        yield f"sum,{m}," + ",".join(row) if csv else f"m={m}: " + " ".join(row)
+    yield f"{csv_key},{equal_up_to}" if csv else f"equal power sums through degree {equal_up_to}"
 
 
 def _violation_line(csv, violation, checked_through=None):
@@ -241,84 +255,72 @@ def _violation_line(csv, violation, checked_through=None):
     return f"first violation at m={m} between classes {j} and {k}"
 
 
-# Items per piece of a long output: (index, term) pairs per % format of the
-# ptm csv body, or array items per json.dumps call.  One format or one call
-# over a whole block would hold every pair's index object and two tuple
-# slots, or every item's text, at once and raise a run's peak memory.  A
-# chunk this size holds about 100 KB in a csv format, and about 0.4 MB in a
-# json.dumps call on `lehmer` (value, multiplicity) cells (0.8 MB at 4096).
-_CHUNK = 2048
-
-
 def _render_ptm(result, csv):
     sequence = result["sequence"]
     if csv:
-        lines = ["n,value"]
+        yield "n,value"
         for start in range(0, len(sequence), _CHUNK):
             part = sequence[start:start + _CHUNK]
             pairs = tuple(chain.from_iterable(enumerate(part, start)))
-            lines.append("\n".join(["%d,%d"] * len(part)) % pairs)
-        return lines
+            yield "\n".join(["%d,%d"] * len(part)) % pairs
+        return
     texts = [str(t) for t in range(result["p"])]
-    return [",".join(map(texts.__getitem__, sequence))]
+    yield ",".join([",".join([texts[t] for t in part]) for part in _chunks(sequence)])
 
 
 def _render_partition(result, csv):
-    # One class's cells at a time: each list is freed once it is joined.
     sep = "," if csv else " "
-    texts = (sep.join([str(n) for n in cls]) for cls in result["classes"])
-    lines = _class_and_sum_lines(
+    texts = (
+        sep.join([sep.join([str(n) for n in part]) for part in _chunks(cls)])
+        for cls in result["classes"]
+    )
+    yield from _class_and_sum_lines(
         csv, texts, result["power_sums"], result["esp_verified_through"],
         "esp_verified_through",
     )
     if "first_violation" in result:
-        lines.append(_violation_line(csv, result["first_violation"], result["checked_through"]))
-    return lines
+        yield _violation_line(csv, result["first_violation"], result["checked_through"])
 
 
 def _render_factor(result, csv):
     row_sep, cell_sep = (",", ";") if csv else (" | ", ",")
-    lines = []
     for key, label in (("ptm_poly", "block polynomial"), ("divisor", "divisor"),
                        ("cofactor", "cofactor")):
         text = row_sep.join(c if isinstance(c, str) else cell_sep.join(c) for c in result[key])
-        lines.append(f"{key},{text}" if csv else f"{label}: {text}")
-    return lines + [
-        _check_line(csv, "product_check", "product check", result["product_check"]),
-        _check_line(csv, "constructions_agree", "constructions agree",
-                    result["constructions_agree"]),
-    ]
+        yield f"{key},{text}" if csv else f"{label}: {text}"
+    yield _check_line(csv, "product_check", "product check", result["product_check"])
+    yield _check_line(csv, "constructions_agree", "constructions agree",
+                      result["constructions_agree"])
 
 
 def _render_lehmer(result, csv):
     if csv:
         texts = (
-            ",".join([f"{value}:{mult}" for value, mult in cls]) for cls in result["classes"]
+            ",".join([",".join([f"{value}:{mult}" for value, mult in part])
+                      for part in _chunks(cls)])
+            for cls in result["classes"]
         )
     else:
         texts = (
-            ", ".join([value if mult == 1 else f"{value} (x{mult})" for value, mult in cls])
+            ", ".join([", ".join([value if mult == 1 else f"{value} (x{mult})"
+                                  for value, mult in part]) for part in _chunks(cls)])
             for cls in result["classes"]
         )
-    lines = _class_and_sum_lines(
+    yield from _class_and_sum_lines(
         csv, texts, result["power_sums"], result["equal_up_to"], "equal_up_to"
     )
     if csv:
-        lines.append(_violation_line(csv, result["first_violation"]))
-    return lines
+        yield _violation_line(csv, result["first_violation"])
 
 
 def _render_identities(result, csv):
-    lines = [
-        _check_line(csv, "product_identity", "product identity",
-                    result["product_identity_holds"]),
-        _check_line(csv, "weighted_sums_vanish",
-                    f"weighted sums vanish through degree {result['m']}",
-                    result["weighted_sums_vanish"]),
-    ]
+    yield _check_line(csv, "product_identity", "product identity",
+                      result["product_identity_holds"])
+    yield _check_line(csv, "weighted_sums_vanish",
+                      f"weighted sums vanish through degree {result['m']}",
+                      result["weighted_sums_vanish"])
     if csv:
-        lines.append(_check_line(csv, "all_pass", None, result["all_pass"]))
-    return lines
+        yield _check_line(csv, "all_pass", None, result["all_pass"])
 
 
 def _holds_long_array(value):
@@ -340,44 +342,34 @@ def _holds_long_array(value):
 def _json_pieces(value):
     """The text of json.dumps(value, check_circular=False), in pieces.
 
-    A value that holds no long array is one json.dumps call.  A long list
-    or tuple is encoded one chunk of items at a time, and a dict, list or
-    tuple holding one item by item, so no call holds the text of every item
-    of a long array at once; the pieces are json.dumps's own text joined by
-    its own ", " and ": ".  A dict's items that hold no long array are
-    encoded together between the ones that do, one call per run of them,
-    since each call has a fixed cost of a few microseconds.  Dict keys must
-    be str, as in every envelope.
+    A value that holds no long array is one json.dumps call.  A dict that
+    holds one is written key by key, and a list or tuple that holds one a
+    chunk of items at a time: a chunk holding a long array item by item,
+    any other chunk in one json.dumps call.  So no call holds the text of
+    every item of a long array at once, and the pieces are json.dumps's own
+    text joined by its own ", " and ": ".  Dict keys must be str, as in
+    every envelope.
     """
     if not _holds_long_array(value):
         yield json.dumps(value, check_circular=False)
     elif isinstance(value, dict):
-        sep, run = "{", {}
+        sep = "{"
         for key, item in value.items():
-            if not _holds_long_array(item):
-                run[key] = item
-                continue
-            if run:
-                yield sep + json.dumps(run, check_circular=False)[1:-1]
-                sep, run = ", ", {}
             yield f"{sep}{json.dumps(key)}: "
             yield from _json_pieces(item)
             sep = ", "
-        if run:
-            yield sep + json.dumps(run, check_circular=False)[1:-1]
         yield "}"
-    elif len(value) > _CHUNK:
-        sep = "["
-        for start in range(0, len(value), _CHUNK):
-            yield sep + json.dumps(value[start:start + _CHUNK], check_circular=False)[1:-1]
-            sep = ", "
-        yield "]"
     else:
         sep = "["
-        for item in value:
-            yield sep
-            yield from _json_pieces(item)
-            sep = ", "
+        for chunk in _chunks(value):
+            if _holds_long_array(chunk):
+                for item in chunk:
+                    yield sep
+                    yield from _json_pieces(item)
+                    sep = ", "
+            else:
+                yield sep + json.dumps(chunk, check_circular=False)[1:-1]
+                sep = ", "
         yield "]"
 
 
@@ -396,7 +388,8 @@ def _emit(args, echo, result, elapsed_ms):
         sys.stdout.writelines(_json_pieces(envelope))
         print()
     else:
-        print(*args.render(result, args.format == "csv"), sep="\n")
+        for line in args.render(result, args.format == "csv"):
+            print(line)
 
 
 def build_parser():

@@ -14,6 +14,7 @@ from prouhet import (
     cofactor_recursive,
     ptm_polynomial,
 )
+from prouhet.factorization import first_coefficient_mismatch
 
 from oracles import (
     cyclotomic_int,
@@ -91,6 +92,11 @@ class TestPolynomialArithmetic:
         with pytest.raises(ValueError):
             DensePolynomial([2, 3, 1]).exact_div(DensePolynomial([2, 1]))
 
+    @pytest.mark.parametrize("divisor", [[1, -1], (1, -1), 1], ids=["list", "tuple", "int"])
+    def test_exact_div_rejects_a_divisor_that_is_not_a_polynomial(self, divisor):
+        with pytest.raises(TypeError, match="^divisor must be a DensePolynomial$"):
+            DensePolynomial([1, 0, -1]).exact_div(divisor)
+
     def test_exact_div_random_roundtrip(self):
         rng = random.Random(2024)
         for _ in range(50):
@@ -114,6 +120,25 @@ class TestPolynomialArithmetic:
     def test_str(self):
         assert str(DensePolynomial([1, -1, 0, -1, 1])) == "1 - x - x^3 + x^4"
         assert str(DensePolynomial()) == "0"
+
+    @pytest.mark.parametrize("coeffs,text", [
+        ([1, -1, 0], "DensePolynomial((1, -1))"),
+        ([], "DensePolynomial(())"),
+        ([form(3, 1, 0)], "DensePolynomial((ZeroSumForm(3, (1, 0)),))"),
+    ], ids=["ints", "zero", "form"])
+    def test_repr(self, coeffs, text):
+        assert repr(DensePolynomial(coeffs)) == text
+
+    @pytest.mark.parametrize("lhs,rhs,expected", [
+        ([1, 2, 3], [1, 2, 3], None),
+        ([1, 2, 3], [1, 5, 3], (1, 2, 5)),
+        ([1, 2], [1, 2, 0, 4], (3, 0, 4)),
+        ([1, 2, 7], [1, 2], (2, 7, 0)),
+        ([], [0, -1], (1, 0, -1)),
+    ], ids=["equal", "inside", "past lhs", "past rhs", "zero lhs"])
+    def test_first_coefficient_mismatch(self, lhs, rhs, expected):
+        # The first differing exponent, reading 0 past either polynomial's span.
+        assert first_coefficient_mismatch(DensePolynomial(lhs), DensePolynomial(rhs)) == expected
 
 
 class TestBlockPolynomial:
@@ -160,6 +185,14 @@ class TestBlockPolynomial:
         vectors += [random_zero_sum_vector(rng, p) for _ in range(5)]
         for vec in vectors:
             assert ptm_polynomial_recursive(params, vec) == ptm_polynomial(params, vec)
+
+    @pytest.mark.parametrize("build", [ptm_polynomial, cofactor_by_division, cofactor_recursive])
+    @pytest.mark.parametrize("vector", [ZeroSumVector([1, -1]), ZeroSumVector.symbolic(4)],
+                             ids=["short", "long"])
+    def test_rejects_a_vector_whose_length_is_not_the_base(self, build, vector):
+        message = f"^vector length {len(vector)} does not match base 3$"
+        with pytest.raises(ValueError, match=message):
+            build(PTMParams(3, 2), vector)
 
     def test_degree_bound(self):
         for p, n in SWEEP:

@@ -247,6 +247,12 @@ class TestWeightedSum:
         for m in range(len(mu)):
             assert not lehmer_weighted_sum(spec, m)
 
+    @pytest.mark.parametrize("exponent", [-1, -4])
+    def test_rejects_a_negative_exponent(self, exponent):
+        message = f"^exponent must be non-negative, got {exponent}$"
+        with pytest.raises(ValueError, match=message):
+            lehmer_weighted_sum(LehmerSpec(3, (1, 2)), exponent)
+
     @random_cases
     def test_matches_per_tuple_oracle(self, rng):
         spec = random_spec(rng)

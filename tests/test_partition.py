@@ -149,6 +149,12 @@ class TestVerifyEsp:
         assert report.equal_up_to == 0
         assert report.first_violation == (1, 0, 1)
 
+    @pytest.mark.parametrize("degree", [-1, -4])
+    def test_rejects_a_negative_degree(self, degree):
+        message = f"^through_degree must be non-negative, got {degree}$"
+        with pytest.raises(ValueError, match=message):
+            verify_esp(PTMParams.from_degree(2, 3), degree)
+
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_equal_sums_sweep(self, p, m):
