@@ -6,19 +6,19 @@ csv, and plain text.  Big integers always serialize as decimal strings.
 Exit codes: 0 success / all checks pass, 1 verification failure, or a bug
 an exact check caught (a division with a remainder, a `lehmer` listing
 off its power-sum rows), 2 usage or validation error, 3 enumeration budget
-exceeded, 74 stdout refused the output (EX_IOERR, e.g. a full device), 141
-stdout closed before the output was written; a stderr that refuses the
-`error:` line changes none of them.  `factor` and `identities` compute on
-integer columns and build no ring value: `factor --symbolic` reads the one
-symbol table, rings.symbol_columns, and `--coeffs` the given ints.
+exceeded, 74 stdout refused the output (EX_IOERR, e.g. a full device) or
+was closed at start, 141 the reader closed stdout before the output was
+written; a stderr that refuses the `error:` line changes none of them.
+`factor` and `identities` compute on integer columns and build no ring
+value: `factor --symbolic` reads the one symbol table,
+rings.symbol_columns, and `--coeffs` the given ints.
 
 A job holds one listing at a time.  `lehmer` ties a listing to its
 power-sum rows (lehmer_verify) before it lists its payload, and turns that
-into text one class at a time.  Every format writes its output by one
-rule: a long array becomes text _CHUNK items at a time, and each line or
-piece is written as it is made.  A csv or plain class line joins its cells
-a chunk at a time, and JSON is json.dumps's own text, a chunk of items per
-call (_json_pieces), so its bytes are those of one json.dumps call.
+into text one class at a time.  Every format is a stream of text pieces of
+at most one chunk each (_CHUNK items of a long array, joined by _joined),
+written by one writelines call; JSON's pieces are json.dumps's own text
+(_json_pieces), so its bytes are those of one json.dumps call.
 
 main runs each job (the command and its output) with the cyclic garbage
 collector paused, and switches it back on only if it was on at entry.  A
@@ -210,73 +210,75 @@ def _cmd_identities(args):
     return {"m": args.m}, result, identity_ok and vanish_ok
 
 
-# Items per piece of a long output, in every format: array items per
-# json.dumps call, cells per join of a csv or plain class line, and
+# Items of a long array per piece of output, in every format: array items
+# per json.dumps call, cells per join of a csv or plain class line, and
 # (index, term) pairs per % format of the ptm csv body.  Text made from a
 # whole array at once would hold every item's text, or every pair's index
-# object and two tuple slots, at once and raise a run's peak memory.  A
-# chunk this size holds about 100 KB in a csv format, and about 0.4 MB in a
-# json.dumps call on `lehmer` (value, multiplicity) cells (0.8 MB at 4096).
+# object and two tuple slots, at once and raise a run's peak memory, and a
+# real stdout would encode it into bytes in one more copy.  A chunk this
+# size holds about 100 KB in a csv format, and about 0.4 MB in a json.dumps
+# call on `lehmer` (value, multiplicity) cells (0.8 MB at 4096).
 _CHUNK = 2048
 
 
-def _chunks(items):
-    """The slices of items, _CHUNK items at a time."""
-    return (items[start:start + _CHUNK] for start in range(0, len(items), _CHUNK))
+def _joined(head, items, sep, text, tail):
+    """head, then text(chunk) for each _CHUNK of items, joined by sep, then
+    tail, as pieces; text gives a chunk's items joined by sep."""
+    yield head
+    for start in range(0, len(items), _CHUNK):
+        yield (sep if start else "") + text(items[start:start + _CHUNK])
+    yield tail
 
 
-# Each renderer yields a command's csv lines (csv=True) or plain lines.
+# Each renderer yields a command's csv lines (csv=True) or plain lines, each
+# ending in a newline, in pieces.
 
 
 def _check_line(csv, key, label, flag):
     if csv:
-        return f"{key},{'true' if flag else 'false'}"
-    return f"{label}: {'pass' if flag else 'FAIL'}"
+        return f"{key},{'true' if flag else 'false'}\n"
+    return f"{label}: {'pass' if flag else 'FAIL'}\n"
 
 
-def _class_and_sum_lines(csv, class_texts, sums, equal_up_to, csv_key):
-    """Class rows, power-sum rows and the agreement degree; `class_texts`
-    gives each class's cells, joined, as its line is made."""
-    for k, text in enumerate(class_texts):
-        yield f"class,{k},{text}" if csv else f"class {k}: {text}"
+def _class_and_sum_lines(csv, classes, sep, text, sums, equal_up_to, csv_key):
+    """Class rows, power-sum rows and the agreement degree; a class row is
+    its cells joined by sep, text(chunk) giving a chunk's."""
+    for k, cls in enumerate(classes):
+        yield from _joined(f"class,{k}," if csv else f"class {k}: ", cls, sep, text, "\n")
     for m, row in enumerate(sums):
-        yield f"sum,{m}," + ",".join(row) if csv else f"m={m}: " + " ".join(row)
-    yield f"{csv_key},{equal_up_to}" if csv else f"equal power sums through degree {equal_up_to}"
+        yield f"sum,{m},{','.join(row)}\n" if csv else f"m={m}: {' '.join(row)}\n"
+    yield (f"{csv_key},{equal_up_to}\n" if csv
+           else f"equal power sums through degree {equal_up_to}\n")
 
 
 def _violation_line(csv, violation, checked_through=None):
     if csv:
         return "first_violation," + (
             "none" if violation is None else ",".join(str(v) for v in violation)
-        )
+        ) + "\n"
     if violation is None:
-        return f"no violation found through degree {checked_through}"
+        return f"no violation found through degree {checked_through}\n"
     m, j, k = violation
-    return f"first violation at m={m} between classes {j} and {k}"
+    return f"first violation at m={m} between classes {j} and {k}\n"
 
 
 def _render_ptm(result, csv):
     sequence = result["sequence"]
     if csv:
-        yield "n,value"
+        yield "n,value\n"
         for start in range(0, len(sequence), _CHUNK):
             part = sequence[start:start + _CHUNK]
-            pairs = tuple(chain.from_iterable(enumerate(part, start)))
-            yield "\n".join(["%d,%d"] * len(part)) % pairs
+            yield "%d,%d\n" * len(part) % tuple(chain.from_iterable(enumerate(part, start)))
         return
     texts = [str(t) for t in range(result["p"])]
-    yield ",".join([",".join([texts[t] for t in part]) for part in _chunks(sequence)])
+    yield from _joined("", sequence, ",", lambda part: ",".join([texts[t] for t in part]), "\n")
 
 
 def _render_partition(result, csv):
     sep = "," if csv else " "
-    texts = (
-        sep.join([sep.join([str(n) for n in part]) for part in _chunks(cls)])
-        for cls in result["classes"]
-    )
     yield from _class_and_sum_lines(
-        csv, texts, result["power_sums"], result["esp_verified_through"],
-        "esp_verified_through",
+        csv, result["classes"], sep, lambda part: sep.join([str(n) for n in part]),
+        result["power_sums"], result["esp_verified_through"], "esp_verified_through",
     )
     if "first_violation" in result:
         yield _violation_line(csv, result["first_violation"], result["checked_through"])
@@ -287,7 +289,7 @@ def _render_factor(result, csv):
     for key, label in (("ptm_poly", "block polynomial"), ("divisor", "divisor"),
                        ("cofactor", "cofactor")):
         text = row_sep.join(c if isinstance(c, str) else cell_sep.join(c) for c in result[key])
-        yield f"{key},{text}" if csv else f"{label}: {text}"
+        yield f"{key},{text}\n" if csv else f"{label}: {text}\n"
     yield _check_line(csv, "product_check", "product check", result["product_check"])
     yield _check_line(csv, "constructions_agree", "constructions agree",
                       result["constructions_agree"])
@@ -295,19 +297,13 @@ def _render_factor(result, csv):
 
 def _render_lehmer(result, csv):
     if csv:
-        texts = (
-            ",".join([",".join([f"{value}:{mult}" for value, mult in part])
-                      for part in _chunks(cls)])
-            for cls in result["classes"]
-        )
+        sep, text = ",", lambda part: ",".join([f"{value}:{mult}" for value, mult in part])
     else:
-        texts = (
-            ", ".join([", ".join([value if mult == 1 else f"{value} (x{mult})"
-                                  for value, mult in part]) for part in _chunks(cls)])
-            for cls in result["classes"]
-        )
+        sep, text = ", ", lambda part: ", ".join(
+            [value if mult == 1 else f"{value} (x{mult})" for value, mult in part])
     yield from _class_and_sum_lines(
-        csv, texts, result["power_sums"], result["equal_up_to"], "equal_up_to"
+        csv, result["classes"], sep, text, result["power_sums"], result["equal_up_to"],
+        "equal_up_to",
     )
     if csv:
         yield _violation_line(csv, result["first_violation"])
@@ -343,11 +339,11 @@ def _json_pieces(value):
     """The text of json.dumps(value, check_circular=False), in pieces.
 
     A value that holds no long array is one json.dumps call.  A dict that
-    holds one is written key by key, and a list or tuple that holds one a
-    chunk of items at a time: a chunk holding a long array item by item,
-    any other chunk in one json.dumps call.  So no call holds the text of
-    every item of a long array at once, and the pieces are json.dumps's own
-    text joined by its own ", " and ": ".  Dict keys must be str, as in
+    holds one is written key by key, a list or tuple whose first item holds
+    one item by item, and any other list or tuple (a long flat array) a
+    chunk of items per json.dumps call (_joined).  So no call holds the text
+    of every item of a long array at once, and the pieces are json.dumps's
+    own text joined by its own ", " and ": ".  Dict keys must be str, as in
     every envelope.
     """
     if not _holds_long_array(value):
@@ -359,23 +355,21 @@ def _json_pieces(value):
             yield from _json_pieces(item)
             sep = ", "
         yield "}"
-    else:
+    elif _holds_long_array(value[0]):
         sep = "["
-        for chunk in _chunks(value):
-            if _holds_long_array(chunk):
-                for item in chunk:
-                    yield sep
-                    yield from _json_pieces(item)
-                    sep = ", "
-            else:
-                yield sep + json.dumps(chunk, check_circular=False)[1:-1]
-                sep = ", "
+        for item in value:
+            yield sep
+            yield from _json_pieces(item)
+            sep = ", "
         yield "]"
+    else:
+        yield from _joined(
+            "[", value, ", ", lambda chunk: json.dumps(chunk, check_circular=False)[1:-1], "]")
 
 
 def _emit(args, echo, result, elapsed_ms):
-    """Print a command's result; the json params are the common options
-    around the command's own `echo`."""
+    """Write a command's result in one writelines call; the json params are
+    the common options around the command's own `echo`."""
     if args.format == "json":
         params = {"p": args.p, **echo, "format": args.format, "budget": args.budget}
         envelope = {
@@ -385,11 +379,10 @@ def _emit(args, echo, result, elapsed_ms):
             "elapsed_ms": elapsed_ms,
         }
         # Every envelope is a fresh tree, so no cycle can occur.
-        sys.stdout.writelines(_json_pieces(envelope))
-        print()
+        pieces = chain(_json_pieces(envelope), ["\n"])
     else:
-        for line in args.render(result, args.format == "csv"):
-            print(line)
+        pieces = args.render(result, args.format == "csv")
+    sys.stdout.writelines(pieces)
 
 
 def build_parser():
@@ -497,7 +490,7 @@ def _error(message, code):
 
 
 def _run(args):
-    """Run the parsed command and print its output; the exit code."""
+    """Run the parsed command and write its output; the exit code."""
     start = time.perf_counter()
     try:
         echo, result, ok = args.handler(args)
@@ -508,6 +501,8 @@ def _run(args):
     except ArithmeticError as exc:  # a division remainder or a listing off its rows: a bug
         return _error(exc, EXIT_VERIFICATION)
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    if sys.stdout is None:  # the process started with no stdout, as `>&-` leaves it
+        return _error("cannot write output: stdout is closed", EXIT_OUTPUT)
     try:
         _emit(args, echo, result, elapsed_ms)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -778,6 +778,31 @@ class TestOneCopyAtATime:
         assert text_peak <= 1.15 * json_peak, text_peak / json_peak
 
     @pytest.mark.parametrize("argv", [
+        ["partition", "--p", "2", "--m", "15", "--format", "csv"],
+        ["partition", "--p", "2", "--m", "15", "--format", "plain"],
+        ["ptm", "--p", "2", "--n", "18", "--format", "plain"],
+    ], ids=" ".join)
+    def test_encoded_text_job_peaks_near_its_json_job(self, argv):
+        # stdout is a TextIOWrapper over a BytesIO, which encodes each
+        # written str into bytes as a real stdout does, so a line written in
+        # one piece would be held once more as bytes.  Every format is
+        # written a chunk at a time, so on Python 3.11 these read 0.87-0.97
+        # of the JSON job of the same argv; a whole class line or `ptm`
+        # plain line per write read 1.10-1.17.  `ptm` csv is left out: its
+        # output alone is larger than the JSON text.
+        peaks = []
+        for run in (argv[:-2], argv):
+            with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")):
+                assert main(run) == 0  # warm-up: caches such as the parser fill here
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with contextlib.redirect_stdout(out):
+                code, peak = traced_peak(lambda: main(run))
+            assert code == 0 and out.buffer.getvalue()
+            peaks.append(peak)
+        json_peak, text_peak = peaks
+        assert text_peak <= 1.05 * json_peak, text_peak / json_peak
+
+    @pytest.mark.parametrize("argv", [
         ["ptm", "--p", "3", "--n", "8"],
         ["partition", "--p", "2", "--m", "12"],
         ["lehmer", "--p", "2", "--mu", ",".join(str(3**j) for j in range(13))],
@@ -920,6 +945,22 @@ class TestHarness:
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 141
         assert stderr == b""
+
+    @pytest.mark.parametrize("args,code,stderr", [
+        (["ptm", "--p", "2", "--n", "3"], 74, "error: cannot write output: stdout is closed\n"),
+        (["ptm", "--p", "1", "--n", "3"], 2, "error: base p must be an integer >= 2, got 1\n"),
+    ], ids=["output", "validation"])
+    def test_stdout_closed_at_start(self, args, code, stderr):
+        # `>&-` starts the process with fd 1 closed, so sys.stdout is None:
+        # a job with output exits 74 before its first write, and an error
+        # exit keeps its own code.
+        proc = subprocess.run(
+            ["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "prouhet", *args],
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (code, stderr)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("n", [3, 16])

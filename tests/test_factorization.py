@@ -62,6 +62,18 @@ class TestPolynomialArithmetic:
         assert f + g == DensePolynomial([1, 0, 0, 4])
         assert (f + g) - g == f
 
+    @pytest.mark.parametrize("operate", [
+        lambda poly: poly + 1,
+        lambda poly: poly - 1,
+        lambda poly: poly * 1,
+    ], ids=["add", "sub", "mul"])
+    def test_arithmetic_with_a_non_polynomial_raises_type_error(self, operate):
+        with pytest.raises(TypeError):
+            operate(DensePolynomial([1, 2]))
+
+    def test_a_non_polynomial_is_never_equal(self):
+        assert (DensePolynomial([1]) == 1) is False
+
     def test_coefficient_beyond_span(self):
         assert DensePolynomial([1, 2]).coefficient(5) == 0
 
