@@ -2,7 +2,9 @@
 
 Output formats: json (default, an envelope with the payload under
 "result"; every field except the wall-clock "elapsed_ms" is deterministic),
-csv, and plain text.  Big integers always serialize as decimal strings.
+csv, and plain text.  "elapsed_ms" times the command, not its output: for
+`ptm`, whose text is made as it is written, its two half-blocks.  Big
+integers always serialize as decimal strings.
 Exit codes: 0 success / all checks pass, 1 verification failure, or a bug
 an exact check caught (a division with a remainder, a `lehmer` listing
 off its power-sum rows), 2 usage or validation error, 3 enumeration budget
@@ -13,12 +15,12 @@ written; a stderr that refuses the `error:` line changes none of them.
 value: `factor --symbolic` reads the one symbol table,
 rings.symbol_columns, and `--coeffs` the given ints.
 
-A job holds one listing at a time.  `lehmer` ties a listing to its
-power-sum rows (lehmer_verify) before it lists its payload, and turns that
-into text one class at a time.  Every format is a stream of text pieces of
-at most one chunk each (_CHUNK items of a long array, joined by _joined),
-written by one writelines call; JSON's pieces are json.dumps's own text
-(_json_pieces), so its bytes are those of one json.dumps call.
+A job holds one listing at a time, and `ptm` none (_HalfBlocks).  `lehmer`
+ties a listing to its power-sum rows (lehmer_verify) before it lists its
+payload, and makes its text a class at a time.  Every format is a stream
+of text pieces of at most one chunk each (_CHUNK items of a long array,
+joined by _joined), written by one writelines call; JSON's pieces are
+json.dumps's own text, so its bytes are those of one json.dumps call.
 
 main runs each job (the command and its output) with the cyclic garbage
 collector paused, and switches it back on only if it was on at entry.  A
@@ -38,7 +40,8 @@ import json
 import os
 import sys
 import time
-from itertools import chain
+from itertools import chain, islice
+from operator import add
 
 # binomial_product, cofactor_by_division, cofactor_recursive,
 # first_coefficient_mismatch and ptm_polynomial stay importable from here:
@@ -85,7 +88,7 @@ def _parse_int_list(text, what):
 
 def _cmd_ptm(args):
     params = PTMParams(args.p, args.n, args.budget)
-    result = {"p": args.p, "n": args.n, "sequence": ptm_block(params)}
+    result = {"p": args.p, "n": args.n, "sequence": _HalfBlocks(params)}
     return {"n": args.n}, result, True
 
 
@@ -212,22 +215,59 @@ def _cmd_identities(args):
 
 # Items of a long array per piece of output, in every format: array items
 # per json.dumps call, cells per join of a csv or plain class line, and
-# (index, term) pairs per % format of the ptm csv body.  Text made from a
-# whole array at once would hold every item's text, or every pair's index
-# object and two tuple slots, at once and raise a run's peak memory, and a
-# real stdout would encode it into bytes in one more copy.  A chunk this
-# size holds about 100 KB in a csv format, and about 0.4 MB in a json.dumps
-# call on `lehmer` (value, multiplicity) cells (0.8 MB at 4096).
+# `ptm` terms per piece (a thousand per csv piece).  Text made from a whole
+# array at once would hold every item's text at once and raise a run's
+# peak memory, and a real stdout would encode it into bytes in one more
+# copy.  A chunk this size holds about 100 KB in a csv format, and about
+# 0.4 MB in a json.dumps call on `lehmer` (value, multiplicity) cells.
 _CHUNK = 2048
 
 
-def _joined(head, items, sep, text, tail):
-    """head, then text(chunk) for each _CHUNK of items, joined by sep, then
+def _joined(head, items, sep, text, tail, size=_CHUNK):
+    """head, then text(chunk) for each `size` items, joined by sep, then
     tail, as pieces; text gives a chunk's items joined by sep."""
     yield head
-    for start in range(0, len(items), _CHUNK):
-        yield (sep if start else "") + text(items[start:start + _CHUNK])
+    for start in range(0, len(items), size):
+        yield (sep if start else "") + text(items[start:start + size])
     yield tail
+
+
+class _HalfBlocks:
+    """The `ptm` block, never listed: as t(q*p**b + r) = (t(q) + t(r)) mod p
+    for r < p**b, it is the low block (b digits, the most that fit a chunk)
+    shifted by each term of the high block (n - b digits) in turn, and a
+    format makes each shifted copy's text once."""
+
+    def __init__(self, params):
+        self.p, n = params.p, params.n
+        b = max(b for b in range(n + 1) if self.p**b <= _CHUNK)
+        self.low, self.high = (ptm_block(params._replace(n=k)) if k else [0] for k in (b, n - b))
+
+    def copies(self, symbols, text):
+        """text(copy) of the low block shifted by each t in high (0..p-1, or 0)."""
+        return [text(list(map((symbols[t:] + symbols[:t]).__getitem__, self.low)))
+                for t in self.high[:self.p]]
+
+    def pieces(self, head, sep, symbols, text, tail):
+        """head, a copy's text per high term joined by sep, then tail."""
+        texts = self.copies(symbols, text)
+        return _joined(head, self.high, sep, lambda part: sep.join(map(texts.__getitem__, part)),
+                       tail, _CHUNK // len(self.low))
+
+    def csv_rows(self):
+        """The csv header and rows, row 1000*q + r as str(q), then r in three
+        digits (unpadded when q is 0), a thousand rows a piece."""
+        copies = self.copies([f"{d}\n" for d in range(self.p)], list)
+        labels = chain.from_iterable(map(copies.__getitem__, self.high))
+        first, padded = _index_cells()
+        yield "n,value\n" + "".join(map(add, first, islice(labels, 1000)))
+        for q in range(1, -(-len(self.low) * len(self.high) // 1000)):
+            prefix = str(q)
+            yield prefix + prefix.join(map(add, padded, islice(labels, 1000)))
+
+
+# The csv index cells "r," and "rrr," (three digits) for r < 1000, on first use.
+_index_cells = functools.cache(lambda: [[f"{r:{w}}," for r in range(1000)] for w in ("", "03")])
 
 
 # Each renderer yields a command's csv lines (csv=True) or plain lines, each
@@ -263,15 +303,9 @@ def _violation_line(csv, violation, checked_through=None):
 
 
 def _render_ptm(result, csv):
-    sequence = result["sequence"]
     if csv:
-        yield "n,value\n"
-        for start in range(0, len(sequence), _CHUNK):
-            part = sequence[start:start + _CHUNK]
-            yield "%d,%d\n" * len(part) % tuple(chain.from_iterable(enumerate(part, start)))
-        return
-    texts = [str(t) for t in range(result["p"])]
-    yield from _joined("", sequence, ",", lambda part: ",".join([texts[t] for t in part]), "\n")
+        return result["sequence"].csv_rows()  # a _HalfBlocks, as in _json_pieces
+    return result["sequence"].pieces("", ",", [*map(str, range(result["p"]))], ",".join, "\n")
 
 
 def _render_partition(result, csv):
@@ -331,7 +365,7 @@ def _holds_long_array(value):
     if isinstance(value, dict):
         return any(map(_holds_long_array, value.values()))
     if not isinstance(value, (list, tuple)):
-        return False
+        return isinstance(value, _HalfBlocks)
     return len(value) > _CHUNK or (bool(value) and _holds_long_array(value[0]))
 
 
@@ -346,7 +380,9 @@ def _json_pieces(value):
     own text joined by its own ", " and ": ".  Dict keys must be str, as in
     every envelope.
     """
-    if not _holds_long_array(value):
+    if isinstance(value, _HalfBlocks):
+        yield from value.pieces("[", ", ", [*range(value.p)], lambda c: json.dumps(c)[1:-1], "]")
+    elif not _holds_long_array(value):
         yield json.dumps(value, check_circular=False)
     elif isinstance(value, dict):
         sep = "{"

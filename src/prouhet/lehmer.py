@@ -14,6 +14,7 @@ exactly one product factor per weight (M+1 factors, strides p**0..p**M).
 
 import itertools
 from collections import Counter, namedtuple
+from operator import itemgetter, mul
 
 from .factorization import block_columns
 # ptm_polynomial stays importable from here: perfbench/spans.py wraps it by this name.
@@ -57,9 +58,12 @@ def lehmer_expand(spec):
     multiplicities total p**(M+1).  It is weighted_classes, sorted and
     counted: sorting the ints first, not the pairs, compares ints alone,
     and a Counter keeps first-insertion order, so its pairs come out
-    sorted."""
+    sorted.  Each list is sorted in place and dropped once counted."""
     classes = weighted_classes(spec.p, spec.mu)
-    return tuple(tuple(Counter(sorted(values)).items()) for values in classes)
+    for k, values in enumerate(classes):
+        values.sort()
+        classes[k] = tuple(Counter(values).items())
+    return tuple(classes)
 
 
 def lehmer_verify(spec):
@@ -70,7 +74,7 @@ def lehmer_verify(spec):
     rows = class_power_sums(spec.p, spec.mu)
     head = next(rows), next(rows)
     for k, pairs in enumerate(lehmer_expand(spec)):
-        listed = sum(mult for _, mult in pairs), sum(value * mult for value, mult in pairs)
+        listed = sum(map(itemgetter(1), pairs)), sum(itertools.starmap(mul, pairs))
         for degree, (got, row) in enumerate(zip(listed, head)):
             if got != row[k]:
                 raise ArithmeticError(f"class {k} of the listing has degree-{degree} "

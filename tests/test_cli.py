@@ -29,6 +29,7 @@ from prouhet import (
     lehmer_weighted_sum,
     product_identity_sides,
     ptm_block,
+    ptm_block_recursive,
     ptm_term,
 )
 from prouhet.cli import _CHUNK, _json_pieces, main
@@ -36,6 +37,7 @@ from prouhet.factorization import division_columns
 from prouhet.lehmer import lehmer_expand
 
 from oracles import off_by_one_expand
+from randomized import random_cases
 
 SPEC_PARTITION_RESULT = {
     "p": 2,
@@ -73,6 +75,26 @@ def _inexact_division(params, columns):
     return division_columns(params, columns)
 
 
+def ptm_output(p, n, fmt):
+    """stdout of `ptm` in fmt, without the JSON envelope's elapsed_ms."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["ptm", "--p", str(p), "--n", str(n), "--format", fmt]) == 0
+    return re.sub(r', "elapsed_ms": [^,}]*\}$', "}", out.getvalue())
+
+
+def ptm_text(p, n, fmt):
+    """What ptm_output should read, made term by term from the paper's
+    paired construction, ptm_block_recursive."""
+    block = ptm_block_recursive(PTMParams(p, n))
+    if fmt == "csv":
+        return "n,value\n" + "".join(f"{i},{t}\n" for i, t in enumerate(block))
+    if fmt == "plain":
+        return ",".join(map(str, block)) + "\n"
+    params = {"p": p, "n": n, "format": fmt, "budget": 10**7}
+    result = {"p": p, "n": n, "sequence": block}
+    return json.dumps({"command": "ptm", "params": params, "result": result}) + "\n"
+
+
 class TestPtmCommand:
     def test_classical(self, capsys):
         code, envelope = run_json(capsys, ["ptm", "--p", "2", "--n", "3"])
@@ -96,6 +118,29 @@ class TestPtmCommand:
         assert main(["ptm", "--p", str(p), "--n", str(n), "--format", "csv"]) == 0
         rows = [f"{i},{ptm_term(i, p)}" for i in range(p**n)]
         assert capsys.readouterr().out == "\n".join(["n,value"] + rows) + "\n"
+
+    # n = 1; p on both sides of _CHUNK, so the low block is the whole
+    # block or a single term; odd and even n; lengths that are and are not
+    # multiples of 1000 (a csv piece) and of _CHUNK; low blocks that fill a
+    # chunk once (p = 2, 3, 45) or leave room for many copies (p = 46).
+    @pytest.mark.parametrize("p,n", [
+        (2, 1), (2, 2), (2, 3), (2, 10), (2, 11), (2, 12), (2, 13), (2, 17), (3, 1), (3, 7),
+        (3, 8), (5, 6), (7, 4), (10, 3), (10, 4), (10, 5), (45, 2), (46, 2), (1000, 1),
+        (2048, 1), (2049, 1),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_output_is_the_recursive_blocks_text(self, p, n, fmt):
+        assert ptm_output(p, n, fmt) == ptm_text(p, n, fmt)
+
+    @random_cases
+    def test_random_output_is_the_recursive_blocks_text(self, rng):
+        p = rng.choice([rng.randint(2, 12), rng.randint(13, 2100)])
+        n = 1
+        while p ** (n + 1) <= 6000:
+            n += 1
+        n = rng.randint(1, n)
+        for fmt in ("json", "csv", "plain"):
+            assert ptm_output(p, n, fmt) == ptm_text(p, n, fmt), (p, n, fmt)
 
     def test_invalid_base(self, capsys):
         code = main(["ptm", "--p", "1", "--n", "3"])
@@ -744,7 +789,8 @@ class TestOneCopyAtATime:
     def test_ptm_json_job_peaks_near_its_block_and_output(self, capsys):
         # One json.dumps call on the whole block held a string per term:
         # about 4 MB for this job, 5.3 times its block and output.  Chunked,
-        # it reads 1.2 times on Python 3.11.
+        # it read 1.2 times on Python 3.11; written from its half-blocks,
+        # with no block listed, it reads 0.3 times.
         argv = ["ptm", "--p", "2", "--n", "16"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -752,6 +798,22 @@ class TestOneCopyAtATime:
         out = capsys.readouterr().out
         assert code == 0 and json.loads(out)["result"]["sequence"][:4] == [0, 1, 1, 0]
         assert peak <= 2.5 * (sys.getsizeof(ptm_block(PTMParams(2, 16))) + len(out))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_ptm_job_peaks_near_its_output(self, fmt):
+        # The block is written from its two half-blocks and never listed,
+        # so the job holds little beside the bytes it wrote.  On Python
+        # 3.11 this reads 0.3-1.3 MB over the output; listing the block's
+        # 2**20 terms read about 8.7 MB over it in every format.
+        argv = ["ptm", "--p", "2", "--n", "20", "--format", fmt]
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")):
+            assert main(argv) == 0  # warm-up: caches such as the parser fill here
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            code, peak = traced_peak(lambda: main(argv))
+        size = len(out.buffer.getvalue())
+        assert code == 0 and size >= 2**21
+        assert peak <= size + 3 * 10**6, (peak - size) / 1e6
 
     @pytest.mark.parametrize("argv", [
         ["partition", "--p", "2", "--m", "15", "--format", "csv"],
@@ -763,9 +825,10 @@ class TestOneCopyAtATime:
         # JSON encodes them, so a text job also holds about one copy of its
         # data.  stdout is a StringIO, as the benchmark and CI capture it,
         # which keeps each written str and encodes nothing.  On Python 3.11
-        # these read 1.03-1.05 of the JSON job of the same argv; a str per
-        # cell of a whole class or block at once read 1.58-1.62.  `ptm` csv
-        # is left out: its output alone is 2.8 times the JSON text.
+        # these read 1.03-1.05 of the JSON job of the same argv (`ptm`
+        # plain 0.68, its output being shorter); a str per cell of a whole
+        # class or block at once read 1.58-1.62.  `ptm` csv is left out: its
+        # output alone is 2.8 times the JSON text.
         peaks = []
         for run in (argv[:-2], argv):
             with contextlib.redirect_stdout(io.StringIO()):
@@ -787,7 +850,8 @@ class TestOneCopyAtATime:
         # written str into bytes as a real stdout does, so a line written in
         # one piece would be held once more as bytes.  Every format is
         # written a chunk at a time, so on Python 3.11 these read 0.87-0.97
-        # of the JSON job of the same argv; a whole class line or `ptm`
+        # of the JSON job of the same argv (`ptm` plain 0.64, as no format
+        # lists its block); a whole class line or `ptm`
         # plain line per write read 1.10-1.17.  `ptm` csv is left out: its
         # output alone is larger than the JSON text.
         peaks = []
