@@ -2,9 +2,8 @@
 
 Output formats: json (default, an envelope with the payload under
 "result"; every field except the wall-clock "elapsed_ms" is deterministic),
-csv, and plain text.  "elapsed_ms" times the command, not its output: for
-`ptm`, whose text is made as it is written, its two half-blocks.  Big
-integers always serialize as decimal strings.
+csv, and plain text.  "elapsed_ms" times the command, not its output (for
+`ptm`, its two half-blocks).  Big integers always serialize as decimal strings.
 Exit codes: 0 success / all checks pass, 1 verification failure, or a bug
 an exact check caught (a division with a remainder, a `lehmer` listing
 off its power-sum rows), 2 usage or validation error, 3 enumeration budget
@@ -20,7 +19,7 @@ ties a listing to its power-sum rows (lehmer_verify) before it lists its
 payload, and makes its text a class at a time.  Every format is a stream
 of text pieces of at most one chunk each (_CHUNK items of a long array,
 joined by _joined), written by one writelines call; JSON's pieces are
-json.dumps's own text, so its bytes are those of one json.dumps call.
+json.dumps's own text (an int's is its str), so its bytes are one call's.
 
 main runs each job (the command and its output) with the cyclic garbage
 collector paused, and switches it back on only if it was on at entry.  A
@@ -58,7 +57,8 @@ from .lehmer import LehmerSpec, lehmer_expand, lehmer_verify, product_identity_s
 from .partition import power_sum_table  # noqa: F401
 from .partition import prouhet_partition, verify_esp
 from .rings import reduce_zero_sum, symbol_columns
-from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, ZeroSumVector, ptm_block
+from .sequence import DEFAULT_BUDGET, BudgetExceededError, PTMParams, ZeroSumVector
+from .sequence import ptm_block, ptm_halves
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -224,44 +224,52 @@ _CHUNK = 2048
 
 
 def _joined(head, items, sep, text, tail, size=_CHUNK):
-    """head, then text(chunk) for each `size` items, joined by sep, then
-    tail, as pieces; text gives a chunk's items joined by sep."""
+    """head, text(chunk) for each `size` items of a list or an iterator,
+    joined by sep, then tail, as pieces; text joins a chunk's items by sep."""
+    items, lead = iter(items), ""
     yield head
-    for start in range(0, len(items), size):
-        yield (sep if start else "") + text(items[start:start + size])
+    while chunk := [*islice(items, size)]:
+        yield lead + text(chunk)
+        lead = sep
     yield tail
 
 
 class _HalfBlocks:
-    """The `ptm` block, never listed: as t(q*p**b + r) = (t(q) + t(r)) mod p
-    for r < p**b, it is the low block (b digits, the most that fit a chunk)
-    shifted by each term of the high block (n - b digits) in turn, and a
-    format makes each shifted copy's text once."""
+    """The `ptm` block, never listed: ptm_halves's low block (b digits, the
+    most that fit a chunk, or 1) shifted by each high term in turn; a copy's
+    text is made once per shift, or per high term if longer than a chunk."""
 
     def __init__(self, params):
-        self.p, n = params.p, params.n
-        b = max(b for b in range(n + 1) if self.p**b <= _CHUNK)
-        self.low, self.high = (ptm_block(params._replace(n=k)) if k else [0] for k in (b, n - b))
+        b = max([b for b in range(2, params.n + 1) if params.p**b <= _CHUNK], default=1)
+        self.shifted, self.high = ptm_halves(params, b)
+        self.width, self.values = params.p**b, range(params.p) if params.n > 1 else None
 
-    def copies(self, symbols, text):
-        """text(copy) of the low block shifted by each t in high (0..p-1, or 0)."""
-        return [text(list(map((symbols[t:] + symbols[:t]).__getitem__, self.low)))
-                for t in self.high[:self.p]]
+    def _copies(self, text):
+        """text(copy) for each shift up to the largest high term; None if p > _CHUNK."""
+        if self.width <= _CHUNK:
+            return [*map(text, map(self.shifted, range(max(self.high) + 1)))]
 
-    def pieces(self, head, sep, symbols, text, tail):
-        """head, a copy's text per high term joined by sep, then tail."""
-        texts = self.copies(symbols, text)
-        return _joined(head, self.high, sep, lambda part: sep.join(map(texts.__getitem__, part)),
-                       tail, _CHUNK // len(self.low))
+    def pieces(self, head, sep, tail):
+        """head, the terms joined by sep (from a table if values recur), then tail."""
+        cell = [*map(str, self.values)].__getitem__ if self.values else None
+        text = ((lambda terms: sep.join(map(cell, terms))) if cell
+                else (lambda terms: json.dumps(terms, separators=(sep, ":"))[1:-1]))
+        texts = self._copies(text)
+        if texts:
+            return _joined(head, map(texts.__getitem__, self.high), sep, sep.join, tail,
+                           _CHUNK // self.width)
+        return _joined(head, chain.from_iterable(map(self.shifted, self.high)), sep, text, tail)
 
     def csv_rows(self):
-        """The csv header and rows, row 1000*q + r as str(q), then r in three
-        digits (unpadded when q is 0), a thousand rows a piece."""
-        copies = self.copies([f"{d}\n" for d in range(self.p)], list)
-        labels = chain.from_iterable(map(copies.__getitem__, self.high))
+        """The csv header and rows, a thousand a piece: row 1000*q + r is
+        str(q), r in three digits (unpadded if q = 0), then its term."""
+        cell = [f"{v}\n" for v in self.values].__getitem__ if self.values else "%d\n".__mod__
+        copies = self._copies(lambda row: [*map(cell, row)])
+        labels = (chain.from_iterable(map(copies.__getitem__, self.high)) if copies
+                  else map(cell, chain.from_iterable(map(self.shifted, self.high))))
         first, padded = _index_cells()
         yield "n,value\n" + "".join(map(add, first, islice(labels, 1000)))
-        for q in range(1, -(-len(self.low) * len(self.high) // 1000)):
+        for q in range(1, -(-len(self.high) * self.width // 1000)):
             prefix = str(q)
             yield prefix + prefix.join(map(add, padded, islice(labels, 1000)))
 
@@ -302,10 +310,8 @@ def _violation_line(csv, violation, checked_through=None):
     return f"first violation at m={m} between classes {j} and {k}\n"
 
 
-def _render_ptm(result, csv):
-    if csv:
-        return result["sequence"].csv_rows()  # a _HalfBlocks, as in _json_pieces
-    return result["sequence"].pieces("", ",", [*map(str, range(result["p"]))], ",".join, "\n")
+def _render_ptm(result, csv):  # the sequence is a _HalfBlocks, as in _json_pieces
+    return result["sequence"].csv_rows() if csv else result["sequence"].pieces("", ",", "\n")
 
 
 def _render_partition(result, csv):
@@ -381,7 +387,7 @@ def _json_pieces(value):
     every envelope.
     """
     if isinstance(value, _HalfBlocks):
-        yield from value.pieces("[", ", ", [*range(value.p)], lambda c: json.dumps(c)[1:-1], "]")
+        yield from value.pieces("[", ", ", "]")
     elif not _holds_long_array(value):
         yield json.dumps(value, check_circular=False)
     elif isinstance(value, dict):

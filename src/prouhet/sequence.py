@@ -72,36 +72,30 @@ def ptm_term(n, p):
 
 
 def ptm_block(params):
-    """The first p**n sequence terms, from two half-blocks.
-
-    Split the digits at b = n // 2: for r < p**b,
-    t(q*p**b + r) = (t(q) + t(r)) mod p.  So the block is the low block
-    (b digits) shifted by t(q), copied once for each term q of the high
-    block (n - b digits), and both half-blocks are built by the same rule.
-    The p shifted copies of the low block come from the addition table
-    mod p; the block itself is assembled by list copies alone.  A block of
-    one digit is 0, ..., p-1 and builds no table; one of two digits is the
-    table's rows, each made as it is copied, so no table is held."""
-    digits = list(range(params.p))
+    """The first p**n sequence terms: ptm_halves at b = n // 2, joined by
+    list copies alone.  A block of two digits is the low block's p copies in
+    turn (its high block is 0, ..., p-1), each made as copied: none is held."""
     if params.n == 1:
-        return digits
-    if params.n == 2:
-        return list(chain.from_iterable(digits[t:] + digits[:t] for t in digits))
-    table = [digits[t:] + digits[:t] for t in digits]  # row t: (t + d) mod p
-    return _half_block_join(params.n, table)
+        return list(range(params.p))
+    shifted, high = ptm_halves(params, params.n // 2)
+    rows = map(shifted, range(params.p))
+    return list(chain.from_iterable(rows if params.n == 2 else map([*rows].__getitem__, high)))
 
 
-def _half_block_join(n, table):
-    """The n-digit block, for n >= 2, by the split of ptm_block; row 0 of the
-    addition table is the one-digit block, and row t its copy shifted by t."""
-    b = n // 2
-    if b == 1:
-        low, shifted = table[0], table
-    else:
-        low = _half_block_join(b, table)
-        shifted = [list(map(row.__getitem__, low)) for row in table]
-    high = low if n == 2 * b else _half_block_join(n - b, table)
-    return list(chain.from_iterable(map(shifted.__getitem__, high)))
+def ptm_halves(params, b):
+    """The block split at digit b, 1 <= b <= n: by t(q*p**b + r) = (t(q) +
+    t(r)) mod p for r < p**b, it is shifted(t), the low block (b digits)
+    shifted by t via row t of the addition table, for each t of the list
+    high, the (n - b)-digit block ([0] if b = n).  Returns (shifted, high)."""
+    p, n = params.p, params.n
+    digits = list(range(p))
+    low = ptm_block(params._replace(n=b)) if b > 1 else digits
+    high = [0] if b == n else low if n == 2 * b else ptm_block(params._replace(n=n - b))
+
+    def shifted(t):
+        row = digits[t:] + digits[:t] if t else digits
+        return row if b == 1 else list(map(row.__getitem__, low))
+    return shifted, high
 
 
 def ptm_block_recursive(params):

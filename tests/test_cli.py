@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from prouhet import (
     ptm_block_recursive,
     ptm_term,
 )
+from prouhet.sequence import ptm_halves
 from prouhet.cli import _CHUNK, _json_pieces, main
 from prouhet.factorization import division_columns
 from prouhet.lehmer import lehmer_expand
@@ -132,6 +134,18 @@ class TestPtmCommand:
     def test_output_is_the_recursive_blocks_text(self, p, n, fmt):
         assert ptm_output(p, n, fmt) == ptm_text(p, n, fmt)
 
+    # With a chunk of 8 terms, small blocks take both ways of writing: low
+    # blocks that fit a chunk (p <= 8), and, for p > 8, copies longer than
+    # a chunk, with values that recur (n > 1) or not (n = 1).
+    @pytest.mark.parametrize("p,n", [
+        (2, 3), (2, 4), (2, 7), (3, 2), (3, 5), (8, 1), (8, 2), (9, 1), (9, 2), (9, 4),
+        (11, 3), (12, 2), (1001, 1), (1001, 2),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_small_chunk_output_is_the_recursive_blocks_text(self, monkeypatch, p, n, fmt):
+        monkeypatch.setattr(prouhet.cli, "_CHUNK", 8)
+        assert ptm_output(p, n, fmt) == ptm_text(p, n, fmt)
+
     @random_cases
     def test_random_output_is_the_recursive_blocks_text(self, rng):
         p = rng.choice([rng.randint(2, 12), rng.randint(13, 2100)])
@@ -139,8 +153,36 @@ class TestPtmCommand:
         while p ** (n + 1) <= 6000:
             n += 1
         n = rng.randint(1, n)
+        chunk = rng.choice([4, 16, _CHUNK])
+        with unittest.mock.patch.object(prouhet.cli, "_CHUNK", chunk):
+            for fmt in ("json", "csv", "plain"):
+                assert ptm_output(p, n, fmt) == ptm_text(p, n, fmt), (p, n, chunk, fmt)
+
+    @pytest.mark.parametrize("p,n", [
+        (2, 1), (2, 16), (3, 10), (45, 2), (46, 2), (2048, 1), (2049, 1), (2049, 2), (10**6, 1),
+    ])
+    def test_copies_made_hold_at_most_the_block(self, monkeypatch, p, n):
+        # Each copy of the low block is made by one rotation of the p
+        # digits and one pass over the low block, so the terms of the
+        # copies made bound a job's work.  A copy per shift for p > _CHUNK
+        # (p one-term copies, each from a p-term rotation) took p**2 steps.
+        made = []
+
+        def counted_halves(params, b):
+            shifted, high = ptm_halves(params, b)
+
+            def counted(t):
+                copy = shifted(t)
+                made.append(len(copy))
+                return copy
+            return counted, high
+
+        monkeypatch.setattr(prouhet.cli, "ptm_halves", counted_halves)
         for fmt in ("json", "csv", "plain"):
-            assert ptm_output(p, n, fmt) == ptm_text(p, n, fmt), (p, n, fmt)
+            made.clear()
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["ptm", "--p", str(p), "--n", str(n), "--format", fmt]) == 0
+            assert out.getvalue() and 0 < sum(made) <= p**n, fmt
 
     def test_invalid_base(self, capsys):
         code = main(["ptm", "--p", "1", "--n", "3"])
@@ -815,6 +857,37 @@ class TestOneCopyAtATime:
         assert code == 0 and size >= 2**21
         assert peak <= size + 3 * 10**6, (peak - size) / 1e6
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_wide_one_digit_block_holds_its_values_once(self, fmt):
+        # For p > _CHUNK and n = 1 the block is one copy, 0, ..., p-1,
+        # written a chunk at a time: the job holds its p values, as a lone
+        # list(range(p)) does, beside the bytes it wrote, and no text per
+        # value.  On Python 3.11 this reads 1.05 times the lone list over
+        # the output; a table of the p values' texts read 2.56.
+        p = 10**5
+        values, values_peak = traced_peak(lambda: list(range(p)))
+        del values
+        argv = ["ptm", "--p", str(p), "--n", "1", "--format", fmt]
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            code, peak = traced_peak(lambda: main(argv))
+        size = len(out.buffer.getvalue())
+        assert code == 0 and size > 5 * p
+        assert peak <= size + 1.1 * values_peak, (peak - size) / values_peak
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_wide_two_digit_block_is_never_listed(self, fmt):
+        # For p > _CHUNK each copy of the low block is made for its high
+        # term and written a chunk at a time.  On Python 3.11 this reads
+        # 0.8-1.0 MB over the output; listing the 2049**2 terms read 35.5.
+        argv = ["ptm", "--p", "2049", "--n", "2", "--format", fmt]
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            code, peak = traced_peak(lambda: main(argv))
+        size = len(out.buffer.getvalue())
+        assert code == 0 and size > 2049**2
+        assert peak <= size + 3 * 10**6, (peak - size) / 1e6
+
     @pytest.mark.parametrize("argv", [
         ["partition", "--p", "2", "--m", "15", "--format", "csv"],
         ["partition", "--p", "2", "--m", "15", "--format", "plain"],
@@ -839,6 +912,37 @@ class TestOneCopyAtATime:
             peaks.append(peak)
         json_peak, text_peak = peaks
         assert text_peak <= 1.15 * json_peak, text_peak / json_peak
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_wide_one_digit_block_holds_its_values_once(self, fmt):
+        # For p > _CHUNK and n = 1 the block is one copy, 0, ..., p-1,
+        # written a chunk at a time: the job holds its p values, as a lone
+        # list(range(p)) does, beside the bytes it wrote, and no text per
+        # value.  On Python 3.11 this reads 1.05 times the lone list over
+        # the output; a table of the p values' texts read 2.56.
+        p = 10**5
+        values, values_peak = traced_peak(lambda: list(range(p)))
+        del values
+        argv = ["ptm", "--p", str(p), "--n", "1", "--format", fmt]
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            code, peak = traced_peak(lambda: main(argv))
+        size = len(out.buffer.getvalue())
+        assert code == 0 and size > 5 * p
+        assert peak <= size + 1.1 * values_peak, (peak - size) / values_peak
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_wide_two_digit_block_is_never_listed(self, fmt):
+        # For p > _CHUNK each copy of the low block is made for its high
+        # term and written a chunk at a time.  On Python 3.11 this reads
+        # 0.8-1.0 MB over the output; listing the 2049**2 terms read 35.5.
+        argv = ["ptm", "--p", "2049", "--n", "2", "--format", fmt]
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            code, peak = traced_peak(lambda: main(argv))
+        size = len(out.buffer.getvalue())
+        assert code == 0 and size > 2049**2
+        assert peak <= size + 3 * 10**6, (peak - size) / 1e6
 
     @pytest.mark.parametrize("argv", [
         ["partition", "--p", "2", "--m", "15", "--format", "csv"],
