@@ -72,9 +72,8 @@ def ptm_term(n, p):
 
 
 def ptm_block(params):
-    """The first p**n sequence terms: ptm_halves at b = n // 2, joined by
-    list copies alone.  A block of two digits is the low block's p copies in
-    turn (its high block is 0, ..., p-1), each made as copied: none is held."""
+    """The first p**n terms: ptm_halves at b = n // 2 joined by list copies
+    alone; at n = 2 the copies come in order, each made as copied: none held."""
     if params.n == 1:
         return list(range(params.p))
     shifted, high = ptm_halves(params, params.n // 2)
@@ -88,9 +87,10 @@ def ptm_halves(params, b):
     shifted by t via row t of the addition table, for each t of the list
     high, the (n - b)-digit block ([0] if b = n).  Returns (shifted, high)."""
     p, n = params.p, params.n
-    digits = list(range(p))
-    low = ptm_block(params._replace(n=b)) if b > 1 else digits
-    high = [0] if b == n else low if n == 2 * b else ptm_block(params._replace(n=n - b))
+    digits, k = list(range(p)), max(b, n - b)  # the shorter half is the longer's prefix
+    longer = digits if k == 1 else ptm_block(params._replace(n=k))
+    low = longer if b == k else longer[:p**b]
+    high = [0] if b == n else longer if n - b == k else longer[:p**(n - b)]
 
     def shifted(t):
         row = digits[t:] + digits[:t] if t else digits
