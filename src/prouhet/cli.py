@@ -224,13 +224,11 @@ _CHUNK = 2048
 
 
 def _joined(head, items, sep, text, tail, size=_CHUNK):
-    """head, text(chunk) for each `size` items of a list or an iterator,
-    joined by sep, then tail, as pieces; text joins a chunk's items by sep."""
-    items, lead = iter(items), ""
+    """head, then text(chunk) for each `size` items, joined by sep, then
+    tail, as pieces; text gives a chunk's items joined by sep."""
     yield head
-    while chunk := [*islice(items, size)]:
-        yield lead + text(chunk)
-        lead = sep
+    for start in range(0, len(items), size):
+        yield (sep if start else "") + text(items[start:start + size])
     yield tail
 
 
@@ -256,9 +254,11 @@ class _HalfBlocks:
                 else (lambda terms: json.dumps(terms, separators=(sep, ":"))[1:-1]))
         texts = self._copies(text)
         if texts:
-            return _joined(head, map(texts.__getitem__, self.high), sep, sep.join, tail,
-                           _CHUNK // self.width)
-        return _joined(head, chain.from_iterable(map(self.shifted, self.high)), sep, text, tail)
+            return _joined(head, self.high, sep, lambda q: sep.join(map(texts.__getitem__, q)),
+                           tail, _CHUNK // self.width)
+        rows = enumerate(map(self.shifted, self.high))
+        return chain((head,), chain.from_iterable(
+            _joined(sep if i else "", row, sep, text, "") for i, row in rows), (tail,))
 
     def csv_rows(self):
         """The csv header and rows, a thousand a piece: row 1000*q + r is
