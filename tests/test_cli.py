@@ -879,7 +879,7 @@ class TestOneCopyAtATime:
     def test_wide_two_digit_block_is_never_listed(self, fmt):
         # For p > _CHUNK each copy of the low block is made for its high
         # term and written a chunk at a time.  On Python 3.11 this reads
-        # 0.8-1.0 MB over the output; listing the 2049**2 terms read 35.5.
+        # 0.8-0.9 MB over the output; listing the 2049**2 terms read 35.5.
         argv = ["ptm", "--p", "2049", "--n", "2", "--format", fmt]
         out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         with contextlib.redirect_stdout(out):
@@ -935,7 +935,7 @@ class TestOneCopyAtATime:
     def test_wide_two_digit_block_is_never_listed(self, fmt):
         # For p > _CHUNK each copy of the low block is made for its high
         # term and written a chunk at a time.  On Python 3.11 this reads
-        # 0.8-1.0 MB over the output; listing the 2049**2 terms read 35.5.
+        # 0.8-0.9 MB over the output; listing the 2049**2 terms read 35.5.
         argv = ["ptm", "--p", "2049", "--n", "2", "--format", fmt]
         out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         with contextlib.redirect_stdout(out):
