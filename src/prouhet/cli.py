@@ -16,10 +16,10 @@ rings.symbol_columns, and `--coeffs` the given ints.
 
 A job holds one listing at a time, and `ptm` none (_HalfBlocks).  `lehmer`
 ties a listing to its power-sum rows (lehmer_verify) before it lists its
-payload, and makes its text a class at a time.  Every format is a stream
-of text pieces of at most one chunk each (_CHUNK items of a long array,
-joined by _joined), written by one writelines call; JSON's pieces are
-json.dumps's own text (an int's is its str), so its bytes are one call's.
+payload, whose int pairs become text a chunk at a time (_Pairs).  Every
+format is a stream of text pieces of at most one chunk each (_CHUNK items
+of a long array, joined by _joined), written by one writelines call; JSON's
+pieces are json.dumps's text (an int's is its str): one call's bytes.
 
 main runs each job (the command and its output) with the cyclic garbage
 collector paused, and switches it back on only if it was on at entry.  A
@@ -160,11 +160,11 @@ def _cmd_factor(args):
 
 def _cmd_lehmer(args):
     spec = LehmerSpec(args.p, _parse_int_list(args.mu, "--mu"), args.budget)
-    # The check's listing is freed before the payload's, which becomes text a class at a time.
+    # The check's listing is freed before the payload's, which is written from its int pairs.
     report = lehmer_verify(spec)
     classes = list(lehmer_expand(spec))
     for k, cls in enumerate(classes):
-        classes[k] = [(str(value), mult) for value, mult in cls]
+        classes[k] = _Pairs(cls)
     result = {
         "p": args.p,
         "mu": list(spec.mu),
@@ -214,12 +214,12 @@ def _cmd_identities(args):
 
 
 # Items of a long array per piece of output, in every format: array items
-# per json.dumps call, cells per join of a csv or plain class line, and
-# `ptm` terms per piece (a thousand per csv piece).  Text made from a whole
-# array at once would hold every item's text at once and raise a run's
-# peak memory, and a real stdout would encode it into bytes in one more
-# copy.  A chunk this size holds about 100 KB in a csv format, and about
-# 0.4 MB in a json.dumps call on `lehmer` (value, multiplicity) cells.
+# per json.dumps call, cells per join of a csv or plain class line or of a
+# `lehmer` JSON class, and `ptm` terms per piece (a thousand per csv
+# piece).  Text made from a whole array at once would hold every item's
+# text at once and raise a run's peak memory, and a real stdout would
+# encode it into bytes in one more copy.  A chunk this size holds about
+# 100 KB in a csv format, and about 0.2 MB of `lehmer` JSON cells.
 _CHUNK = 2048
 
 
@@ -235,16 +235,18 @@ def _joined(head, items, sep, text, tail, size=_CHUNK):
 class _HalfBlocks:
     """The `ptm` block, never listed: ptm_halves's low block (b digits, the
     most that fit a chunk, or 1) shifted by each high term in turn; a copy's
-    text is made once per shift, or per high term if longer than a chunk."""
+    text is made once per shift if tabled, else once per high term."""
 
     def __init__(self, params):
         b = max([b for b in range(2, params.n + 1) if params.p**b <= _CHUNK], default=1)
         self.shifted, self.high = ptm_halves(params, b)
         self.width, self.values = params.p**b, range(params.p) if params.n > 1 else None
+        self.tabled = self.width <= _CHUNK and len(self.high) > params.p
 
     def _copies(self, text):
-        """text(copy) for each shift up to the largest high term; None if p > _CHUNK."""
-        if self.width <= _CHUNK:
+        """text(copy) for each shift up to the largest high term, if a shift
+        recurs in the high block (n - b >= 2) and a copy fits a chunk."""
+        if self.tabled:
             return [*map(text, map(self.shifted, range(max(self.high) + 1)))]
 
     def pieces(self, head, sep, tail):
@@ -272,6 +274,11 @@ class _HalfBlocks:
         for q in range(1, -(-len(self.high) * self.width // 1000)):
             prefix = str(q)
             yield prefix + prefix.join(map(add, padded, islice(labels, 1000)))
+
+
+class _Pairs(tuple):
+    """A `lehmer` class's (value, multiplicity) int pairs, written a chunk at a time."""
+    __slots__ = ()
 
 
 # The csv index cells "r," and "rrr," (three digits) for r < 1000, on first use.
@@ -340,7 +347,7 @@ def _render_lehmer(result, csv):
         sep, text = ",", lambda part: ",".join([f"{value}:{mult}" for value, mult in part])
     else:
         sep, text = ", ", lambda part: ", ".join(
-            [value if mult == 1 else f"{value} (x{mult})" for value, mult in part])
+            [f"{value}" if mult == 1 else f"{value} (x{mult})" for value, mult in part])
     yield from _class_and_sum_lines(
         csv, result["classes"], sep, text, result["power_sums"], result["equal_up_to"],
         "equal_up_to",
@@ -360,7 +367,8 @@ def _render_identities(result, csv):
 
 
 def _holds_long_array(value):
-    """Whether value is, or holds, a list or tuple longer than one chunk.
+    """Whether value is, or holds, a list or tuple longer than one chunk,
+    or a _HalfBlocks or _Pairs, which are written in pieces at any length.
 
     A dict is looked at through all its values, a shorter list or tuple
     through its first item only: the class lists of a payload are all of
@@ -370,8 +378,8 @@ def _holds_long_array(value):
     """
     if isinstance(value, dict):
         return any(map(_holds_long_array, value.values()))
-    if not isinstance(value, (list, tuple)):
-        return isinstance(value, _HalfBlocks)
+    if not isinstance(value, (list, tuple)) or type(value) is _Pairs:
+        return isinstance(value, (_HalfBlocks, _Pairs))
     return len(value) > _CHUNK or (bool(value) and _holds_long_array(value[0]))
 
 
@@ -388,6 +396,9 @@ def _json_pieces(value):
     """
     if isinstance(value, _HalfBlocks):
         yield from value.pieces("[", ", ", "]")
+    elif type(value) is _Pairs:  # a decimal string needs no escaping: json.dumps's text
+        yield from _joined(
+            "[", value, ", ", lambda chunk: ", ".join([f'["{v}", {m}]' for v, m in chunk]), "]")
     elif not _holds_long_array(value):
         yield json.dumps(value, check_circular=False)
     elif isinstance(value, dict):

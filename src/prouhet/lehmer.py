@@ -14,7 +14,7 @@ exactly one product factor per weight (M+1 factors, strides p**0..p**M).
 
 import itertools
 from collections import Counter, namedtuple
-from operator import itemgetter, mul
+from operator import eq, itemgetter, mul
 
 from .factorization import block_columns
 # ptm_polynomial stays importable from here: perfbench/spans.py wraps it by this name.
@@ -55,14 +55,15 @@ class LehmerSpec(namedtuple("LehmerSpec", "p mu budget")):
 def lehmer_expand(spec):
     """The weighted values of all p**(M+1) digit tuples by digit-sum class:
     p tuples of (value, multiplicity) pairs sorted by value, whose
-    multiplicities total p**(M+1).  It is weighted_classes, sorted and
-    counted: sorting the ints first, not the pairs, compares ints alone,
-    and a Counter keeps first-insertion order, so its pairs come out
-    sorted.  Each list is sorted in place and dropped once counted."""
+    multiplicities total p**(M+1).  It is weighted_classes, each list
+    sorted in place (ints, not pairs, so ints alone are compared) and
+    dropped once counted: with no two equal neighbours every multiplicity
+    is 1, else a Counter, which keeps first-insertion order, counts it."""
     classes = weighted_classes(spec.p, spec.mu)
     for k, values in enumerate(classes):
         values.sort()
-        classes[k] = tuple(Counter(values).items())
+        repeats = any(map(eq, values, itertools.islice(values, 1, None)))
+        classes[k] = tuple(Counter(values).items() if repeats else zip(values, itertools.repeat(1)))
     return tuple(classes)
 
 

@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 import unittest.mock
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from prouhet.cli import _CHUNK, _json_pieces, main
 from prouhet.factorization import division_columns
 from prouhet.lehmer import lehmer_expand
 
-from oracles import off_by_one_expand
+from oracles import off_by_one_expand, product_value_lists
 from randomized import random_cases
 
 SPEC_PARTITION_RESULT = {
@@ -389,7 +390,66 @@ class TestFactorCommand:
         assert captured.out == ""
 
 
+def lehmer_output(p, mu, fmt):
+    """stdout of `lehmer` in fmt, without the JSON envelope's elapsed_ms."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["lehmer", "--p", str(p), "--mu", ",".join(map(str, mu)), "--format", fmt]) == 0
+    return re.sub(r', "elapsed_ms": [^,}]*\}$', "}", out.getvalue())
+
+
+def lehmer_text(p, mu, fmt):
+    """What lehmer_output should read, made from the value lists of
+    itertools.product, counted by a Counter; a JSON cell is the text of
+    [str(value), mult]."""
+    classes = [sorted(Counter(values).items()) for values in product_value_lists(p, mu)]
+    sums = [[str(sum(v**m * c for v, c in cls)) for cls in classes] for m in range(len(mu))]
+    assert all(len(set(row)) == 1 for row in sums)  # the theorem: equal through degree M
+    degree = len(mu) - 1
+    if fmt == "csv":
+        return ("".join(f"class,{k}," + ",".join(f"{v}:{c}" for v, c in cls) + "\n"
+                        for k, cls in enumerate(classes))
+                + "".join(f"sum,{m},{','.join(row)}\n" for m, row in enumerate(sums))
+                + f"equal_up_to,{degree}\nfirst_violation,none\n")
+    if fmt == "plain":
+        return ("".join(f"class {k}: " + ", ".join(str(v) if c == 1 else f"{v} (x{c})"
+                                                    for v, c in cls) + "\n"
+                        for k, cls in enumerate(classes))
+                + "".join(f"m={m}: {' '.join(row)}\n" for m, row in enumerate(sums))
+                + f"equal power sums through degree {degree}\n")
+    params = {"p": p, "mu": ",".join(map(str, mu)), "format": fmt, "budget": 10**7}
+    result = {"p": p, "mu": list(mu), "classes": [[[str(v), c] for v, c in cls] for cls in classes],
+              "power_sums": sums, "equal_up_to": degree, "first_violation": None}
+    return json.dumps({"command": "lehmer", "params": params, "result": result}) + "\n"
+
+
+# (p, weights) of the `lehmer` byte grid: classes shorter than a chunk,
+# with and without repeats; classes longer than one chunk, repeat-free
+# (weights 3**j) and with multiplicities 2 (the weight 1 twice); weights of
+# 41 digits; bases 11 and 12.  Every class 0 holds the value 0.
+LEHMER_GRID = [
+    (3, (1, 1, 2)),
+    (3, (2, 5, 7)),
+    (2, tuple(3**j for j in range(13))),
+    (2, (*(3**j for j in range(12)), 1)),
+    (3, (10**40 + 3, 2 * 10**40 + 1, 7 * 10**41)),
+    (2, (10**40, 10**40, 3 * 10**40 + 1, 1)),
+    (11, (1, 11)),
+    (12, (2, 3, 5)),
+]
+
+
 class TestLehmerCommand:
+    @pytest.mark.parametrize("p,mu", LEHMER_GRID)
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_output_is_the_counted_product_lists_text(self, p, mu, fmt):
+        assert lehmer_output(p, mu, fmt) == lehmer_text(p, mu, fmt)
+
+    def test_grid_holds_every_kind_of_class(self):
+        # (longer than a chunk, holds a repeat) for each class of the grid
+        kinds = {(len(set(values)) > _CHUNK, len(set(values)) < len(values))
+                 for p, mu in LEHMER_GRID for values in product_value_lists(p, mu)}
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
     def test_base_powers_match_partition(self, capsys):
         code, envelope = run_json(capsys, ["lehmer", "--p", "2", "--mu", "1,2,4,8"])
         assert code == 0
@@ -828,6 +888,32 @@ class TestOneCopyAtATime:
         assert code == 0 and capsys.readouterr().out
         assert job_peak <= 1.65 * listing_peak
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_lehmer_job_holds_one_listing_beside_its_output(self, fmt):
+        # The payload is lehmer_expand's own int pairs, written a chunk at
+        # a time, so beside the bytes it wrote a job holds about one
+        # retained listing.  On Python 3.11 this reads 1.10-1.12 of it; a
+        # (str(value), mult) tuple per pair, made before writing, read
+        # 1.45-1.51.
+        argv = LEHMER_9 + ["--format", fmt]
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")):
+            assert main(argv) == 0  # warm-up: caches such as the parser fill here
+        spec = LehmerSpec(3, [int(w) for w in LEHMER_9[-1].split(",")])
+        tracemalloc.start()
+        try:
+            classes = lehmer_expand(spec)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(mult for cls in classes for _, mult in cls) == 3**9
+        del classes
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            code, peak = traced_peak(lambda: main(argv))
+        size = len(out.buffer.getvalue())
+        assert code == 0 and size
+        assert peak - size <= 1.4 * retained, (peak - size) / retained
+
     def test_ptm_json_job_peaks_near_its_block_and_output(self, capsys):
         # One json.dumps call on the whole block held a string per term:
         # about 4 MB for this job, 5.3 times its block and output.  Chunked,
@@ -855,37 +941,6 @@ class TestOneCopyAtATime:
             code, peak = traced_peak(lambda: main(argv))
         size = len(out.buffer.getvalue())
         assert code == 0 and size >= 2**21
-        assert peak <= size + 3 * 10**6, (peak - size) / 1e6
-
-    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-    def test_wide_one_digit_block_holds_its_values_once(self, fmt):
-        # For p > _CHUNK and n = 1 the block is one copy, 0, ..., p-1,
-        # written a chunk at a time: the job holds its p values, as a lone
-        # list(range(p)) does, beside the bytes it wrote, and no text per
-        # value.  On Python 3.11 this reads 1.05 times the lone list over
-        # the output; a table of the p values' texts read 2.56.
-        p = 10**5
-        values, values_peak = traced_peak(lambda: list(range(p)))
-        del values
-        argv = ["ptm", "--p", str(p), "--n", "1", "--format", fmt]
-        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        with contextlib.redirect_stdout(out):
-            code, peak = traced_peak(lambda: main(argv))
-        size = len(out.buffer.getvalue())
-        assert code == 0 and size > 5 * p
-        assert peak <= size + 1.1 * values_peak, (peak - size) / values_peak
-
-    @pytest.mark.parametrize("fmt", ["json", "plain"])
-    def test_wide_two_digit_block_is_never_listed(self, fmt):
-        # For p > _CHUNK each copy of the low block is made for its high
-        # term and written a chunk at a time.  On Python 3.11 this reads
-        # 0.8-0.9 MB over the output; listing the 2049**2 terms read 35.5.
-        argv = ["ptm", "--p", "2049", "--n", "2", "--format", fmt]
-        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        with contextlib.redirect_stdout(out):
-            code, peak = traced_peak(lambda: main(argv))
-        size = len(out.buffer.getvalue())
-        assert code == 0 and size > 2049**2
         assert peak <= size + 3 * 10**6, (peak - size) / 1e6
 
     @pytest.mark.parametrize("argv", [
@@ -932,16 +987,21 @@ class TestOneCopyAtATime:
         assert peak <= size + 1.1 * values_peak, (peak - size) / values_peak
 
     @pytest.mark.parametrize("fmt", ["json", "plain"])
-    def test_wide_two_digit_block_is_never_listed(self, fmt):
+    @pytest.mark.parametrize("p", [2049, 2048])
+    def test_wide_two_digit_block_is_never_listed(self, p, fmt):
         # For p > _CHUNK each copy of the low block is made for its high
         # term and written a chunk at a time.  On Python 3.11 this reads
         # 0.8-0.9 MB over the output; listing the 2049**2 terms read 35.5.
-        argv = ["ptm", "--p", "2049", "--n", "2", "--format", fmt]
+        # At p = 2048 a copy fits a chunk, but no shift recurs in a high
+        # block of p terms, so each copy's text is made as it is written:
+        # 0.8-1.1 MB over the output, where a text per shift made up front
+        # read 18.6-22.9 MB.
+        argv = ["ptm", "--p", str(p), "--n", "2", "--format", fmt]
         out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         with contextlib.redirect_stdout(out):
             code, peak = traced_peak(lambda: main(argv))
         size = len(out.buffer.getvalue())
-        assert code == 0 and size > 2049**2
+        assert code == 0 and size > p**2
         assert peak <= size + 3 * 10**6, (peak - size) / 1e6
 
     @pytest.mark.parametrize("argv", [

@@ -161,6 +161,20 @@ class TestLehmerExpand:
         spec = random_spec(rng)
         assert lehmer_expand(spec) == product_classes(spec.p, spec.mu)
 
+    @random_cases
+    def test_repeat_free_and_repeated_classes_match_product_oracle(self, rng):
+        # Weights each above p - 1 times the sum of those before give every
+        # tuple its own value, so no class repeats one and every
+        # multiplicity is 1; one of them drawn again makes repeats.
+        p = rng.randint(2, 5)
+        mu = []
+        for _ in range(rng.randint(1, {2: 7, 3: 4, 4: 3, 5: 3}[p])):
+            mu.append(rng.randint(1, 10**45) + (p - 1) * sum(mu))
+        for weights, repeats in ((mu, False), ((*mu, rng.choice(mu)), True)):
+            classes = lehmer_expand(LehmerSpec(p, weights))
+            assert classes == product_classes(p, weights), (p, weights)
+            assert any(mult > 1 for cls in classes for _, mult in cls) is repeats
+
     def test_repeated_weight_gives_multiplicities(self):
         classes = product_classes(3, (2, 5, 2))
         assert any(mult > 1 for cls in classes for _, mult in cls)
