@@ -12,14 +12,15 @@ was closed at start, 141 the reader closed stdout before the output was
 written; a stderr that refuses the `error:` line changes none of them.
 `factor` and `identities` compute on integer columns and build no ring
 value: `factor --symbolic` reads the one symbol table,
-rings.symbol_columns, and `--coeffs` the given ints.
+rings.symbol_columns, and `--coeffs` the given ints (vector_columns).
 
 A job holds one listing at a time, and `ptm` none (_HalfBlocks).  `lehmer`
 ties a listing to its power-sum rows (lehmer_verify) before it lists its
-payload, whose int pairs become text a chunk at a time (_Pairs).  Every
-format is a stream of text pieces of at most one chunk each (_CHUNK items
-of a long array, joined by _joined), written by one writelines call; JSON's
-pieces are json.dumps's text (an int's is its str): one call's bytes.
+payload, one _Pairs of lehmer_expand's classes, whose int pairs become text
+a chunk at a time.  Every format is a stream of text pieces of at most one
+chunk each (_CHUNK items of a long array, joined by _joined), written by one
+writelines call; JSON's pieces are json.dumps's text (an int's is its str):
+one call's bytes.
 
 main runs each job (the command and its output) with the cyclic garbage
 collector paused, and switches it back on only if it was on at entry.  A
@@ -48,7 +49,7 @@ from operator import add
 from .factorization import binomial_product, cofactor_by_division  # noqa: F401
 from .factorization import cofactor_recursive, ptm_polynomial  # noqa: F401
 from .factorization import first_coefficient_mismatch  # noqa: F401
-from .factorization import block_columns, division_columns
+from .factorization import block_columns, division_columns, vector_columns
 from .factorization import recursive_column, strip_zero_rows, times_binomial_columns
 # lehmer_weighted_sum and power_sum_table stay importable from here:
 # perfbench/spans.py wraps them by these names.
@@ -112,28 +113,15 @@ def _cmd_partition(args):
     return echo, result, report.equal_up_to >= args.m
 
 
-def _check_coordinate_cells(params):
-    """Gate the (p - 1) * p**n int cells of a block's coordinate columns on the budget."""
-    cells = (params.p - 1) * params.block_length
-    if cells > params.budget:
-        raise BudgetExceededError(
-            f"{cells} coordinate cells of {params.p}**{params.n} terms "
-            f"exceed budget {params.budget}"
-        )
-
-
 def _cmd_factor(args):
     params = PTMParams(args.p, args.n, args.budget)
     symbolic = args.mode == "symbolic"
     if symbolic:
-        _check_coordinate_cells(params)
+        params.check_cells()
         columns = symbol_columns(args.p)
     else:
         values = _parse_int_list(args.coeffs, "--coeffs")
-        if len(values) != args.p:
-            raise ValueError(f"expected {args.p} coefficients, got {len(values)}")
-        ZeroSumVector(values)  # raises ValueError unless the entries sum to zero
-        columns = [values]
+        columns = vector_columns(params, ZeroSumVector(values))
     labels = ptm_block(params)
     full_block = block_columns(labels, columns)
     cofactor = strip_zero_rows(division_columns(params, full_block))
@@ -162,13 +150,10 @@ def _cmd_lehmer(args):
     spec = LehmerSpec(args.p, _parse_int_list(args.mu, "--mu"), args.budget)
     # The check's listing is freed before the payload's, which is written from its int pairs.
     report = lehmer_verify(spec)
-    classes = list(lehmer_expand(spec))
-    for k, cls in enumerate(classes):
-        classes[k] = _Pairs(cls)
     result = {
         "p": args.p,
         "mu": list(spec.mu),
-        "classes": classes,
+        "classes": _Pairs(lehmer_expand(spec)),
         "power_sums": [[str(s) for s in row] for row in report.power_sums],
         "equal_up_to": report.equal_up_to,
         "first_violation": report.first_violation and list(report.first_violation),
@@ -178,7 +163,7 @@ def _cmd_lehmer(args):
 
 def _cmd_identities(args):
     params = PTMParams.from_degree(args.p, args.m, args.budget)
-    _check_coordinate_cells(params)
+    params.check_cells()
     lhs, rhs = product_identity_sides(params)
     first_mismatch = None
     if lhs != rhs:  # equal-length columns: name the first differing row
@@ -214,18 +199,19 @@ def _cmd_identities(args):
 
 
 # Items of a long array per piece of output, in every format: array items
-# per json.dumps call, cells per join of a csv or plain class line or of a
-# `lehmer` JSON class, and `ptm` terms per piece (a thousand per csv
-# piece).  Text made from a whole array at once would hold every item's
-# text at once and raise a run's peak memory, and a real stdout would
+# per json.dumps call, cells per join of a csv or plain class or `factor`
+# line or of a `lehmer` JSON class, and `ptm` terms per piece (a thousand
+# per csv piece).  Text made from a whole array at once would hold every
+# item's text at once and raise a run's peak memory, and a real stdout would
 # encode it into bytes in one more copy.  A chunk this size holds about
 # 100 KB in a csv format, and about 0.2 MB of `lehmer` JSON cells.
 _CHUNK = 2048
 
 
-def _joined(head, items, sep, text, tail, size=_CHUNK):
-    """head, then text(chunk) for each `size` items, joined by sep, then
-    tail, as pieces; text gives a chunk's items joined by sep."""
+def _joined(head, items, sep, text, tail, size=None):
+    """head, then text(chunk) per `size` items (_CHUNK if None), joined by
+    sep, then tail, as pieces; text gives a chunk's items joined by sep."""
+    size = size or _CHUNK
     yield head
     for start in range(0, len(items), size):
         yield (sep if start else "") + text(items[start:start + size])
@@ -277,7 +263,8 @@ class _HalfBlocks:
 
 
 class _Pairs(tuple):
-    """A `lehmer` class's (value, multiplicity) int pairs, written a chunk at a time."""
+    """`lehmer_expand`'s classes of (value, multiplicity) int pairs, each
+    class written a chunk at a time."""
     __slots__ = ()
 
 
@@ -333,10 +320,10 @@ def _render_partition(result, csv):
 
 def _render_factor(result, csv):
     row_sep, cell_sep = (",", ";") if csv else (" | ", ",")
+    text = lambda rows: row_sep.join([c if isinstance(c, str) else cell_sep.join(c) for c in rows])
     for key, label in (("ptm_poly", "block polynomial"), ("divisor", "divisor"),
                        ("cofactor", "cofactor")):
-        text = row_sep.join(c if isinstance(c, str) else cell_sep.join(c) for c in result[key])
-        yield f"{key},{text}\n" if csv else f"{label}: {text}\n"
+        yield from _joined(f"{key}," if csv else f"{label}: ", result[key], row_sep, text, "\n")
     yield _check_line(csv, "product_check", "product check", result["product_check"])
     yield _check_line(csv, "constructions_agree", "constructions agree",
                       result["constructions_agree"])
@@ -397,8 +384,11 @@ def _json_pieces(value):
     if isinstance(value, _HalfBlocks):
         yield from value.pieces("[", ", ", "]")
     elif type(value) is _Pairs:  # a decimal string needs no escaping: json.dumps's text
-        yield from _joined(
-            "[", value, ", ", lambda chunk: ", ".join([f'["{v}", {m}]' for v, m in chunk]), "]")
+        text = lambda chunk: ", ".join([f'["{v}", {m}]' for v, m in chunk])
+        yield "["
+        for k, cls in enumerate(value):
+            yield from _joined(", [" if k else "[", cls, ", ", text, "]")
+        yield "]"
     elif not _holds_long_array(value):
         yield json.dumps(value, check_circular=False)
     elif isinstance(value, dict):

@@ -45,13 +45,15 @@ class PTMParams(namedtuple("PTMParams", "p n budget")):
         return cls(p, degree + 1, budget)
 
     @property
-    def degree(self):
-        """Highest degree of guaranteed power-sum agreement: n - 1."""
-        return self.n - 1
-
-    @property
     def block_length(self):
         return self.p**self.n
+
+    def check_cells(self):
+        """Gate the (p - 1) * p**n int cells of the block's coordinate columns on the budget."""
+        cells = (self.p - 1) * self.block_length
+        if cells > self.budget:
+            raise BudgetExceededError(f"{cells} coordinate cells of {self.p}**{self.n} terms "
+                                      f"exceed budget {self.budget}")
 
     @property
     def weights(self):

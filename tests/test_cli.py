@@ -78,11 +78,43 @@ def _inexact_division(params, columns):
     return division_columns(params, columns)
 
 
+class _PieceRecorder(io.StringIO):
+    """A stdout that keeps the pieces of its last writelines call."""
+
+    def writelines(self, pieces):
+        self.pieces = list(pieces)
+        super().writelines(self.pieces)
+
+
+def written_pieces(argv):
+    """The pieces main(argv) writes, which must exit 0."""
+    with contextlib.redirect_stdout(_PieceRecorder()) as out:
+        assert main(argv) == 0
+    return out.pieces
+
+
+def without_elapsed(pieces):
+    """The text of pieces, without a JSON envelope's elapsed_ms."""
+    return re.sub(r', "elapsed_ms": [^,}]*\}$', "}", "".join(pieces))
+
+
+def ptm_pieces(p, n, fmt):
+    return written_pieces(["ptm", "--p", str(p), "--n", str(n), "--format", fmt])
+
+
 def ptm_output(p, n, fmt):
     """stdout of `ptm` in fmt, without the JSON envelope's elapsed_ms."""
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert main(["ptm", "--p", str(p), "--n", str(n), "--format", fmt]) == 0
-    return re.sub(r', "elapsed_ms": [^,}]*\}$', "}", out.getvalue())
+    return without_elapsed(ptm_pieces(p, n, fmt))
+
+
+def most_terms_per_piece(pieces, fmt):
+    """The most terms (csv: rows) that one piece of `ptm`'s sequence holds;
+    in JSON, the sequence's pieces run from its key to its closing bracket."""
+    if fmt == "json":
+        start = pieces.index(', "sequence": ') + 1
+        pieces = pieces[start:pieces.index("]", start)]
+    return max(len(re.findall(r"\d+,\d+\n" if fmt == "csv" else r"\d+", piece))
+               for piece in pieces)
 
 
 def ptm_text(p, n, fmt):
@@ -137,7 +169,9 @@ class TestPtmCommand:
 
     # With a chunk of 8 terms, small blocks take both ways of writing: low
     # blocks that fit a chunk (p <= 8), and, for p > 8, copies longer than
-    # a chunk, with values that recur (n > 1) or not (n = 1).
+    # a chunk, cut into chunks, with values that recur (n > 1) or not
+    # (n = 1).  A piece holds at most a chunk of terms, or a thousand csv
+    # rows.
     @pytest.mark.parametrize("p,n", [
         (2, 3), (2, 4), (2, 7), (3, 2), (3, 5), (8, 1), (8, 2), (9, 1), (9, 2), (9, 4),
         (11, 3), (12, 2), (1001, 1), (1001, 2),
@@ -145,7 +179,9 @@ class TestPtmCommand:
     @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
     def test_small_chunk_output_is_the_recursive_blocks_text(self, monkeypatch, p, n, fmt):
         monkeypatch.setattr(prouhet.cli, "_CHUNK", 8)
-        assert ptm_output(p, n, fmt) == ptm_text(p, n, fmt)
+        pieces = ptm_pieces(p, n, fmt)
+        assert without_elapsed(pieces) == ptm_text(p, n, fmt)
+        assert most_terms_per_piece(pieces, fmt) <= (1000 if fmt == "csv" else 8)
 
     @random_cases
     def test_random_output_is_the_recursive_blocks_text(self, rng):
@@ -157,7 +193,9 @@ class TestPtmCommand:
         chunk = rng.choice([4, 16, _CHUNK])
         with unittest.mock.patch.object(prouhet.cli, "_CHUNK", chunk):
             for fmt in ("json", "csv", "plain"):
-                assert ptm_output(p, n, fmt) == ptm_text(p, n, fmt), (p, n, chunk, fmt)
+                pieces = ptm_pieces(p, n, fmt)
+                assert without_elapsed(pieces) == ptm_text(p, n, fmt), (p, n, chunk, fmt)
+                assert most_terms_per_piece(pieces, fmt) <= (1000 if fmt == "csv" else chunk)
 
     @pytest.mark.parametrize("p,n", [
         (2, 1), (2, 16), (3, 10), (45, 2), (46, 2), (2048, 1), (2049, 1), (2049, 2), (10**6, 1),
@@ -331,14 +369,15 @@ class TestFactorCommand:
         assert code == 0
         assert envelope["result"]["cofactor"] == ["1", "2", "0", "2", "1"]
 
-    def test_rejects_nonzero_sum_listing_it(self, capsys):
-        code = main(["factor", "--p", "3", "--n", "2", "--coeffs", "1,1,1"])
-        assert code == 2
-        assert "sum 3" in capsys.readouterr().err
-
-    def test_rejects_wrong_length(self, capsys):
-        code = main(["factor", "--p", "3", "--n", "2", "--coeffs", "1,-1"])
-        assert code == 2
+    # ZeroSumVector and factorization.vector_columns check the vector.
+    @pytest.mark.parametrize("coeffs,message", [
+        ("1,-1", "vector length 2 does not match base 3"),
+        ("0", "a zero-sum vector needs at least two entries"),
+        ("1,1,1", "entries must sum to zero, got sum 3"),
+    ], ids=["wrong length", "one entry", "nonzero sum"])
+    def test_rejects_a_bad_vector_in_one_line(self, capsys, coeffs, message):
+        assert main(["factor", "--p", "3", "--n", "2", "--coeffs", coeffs]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_rejects_non_integer_coeffs(self, capsys):
         code = main(["factor", "--p", "2", "--n", "2", "--coeffs", "1,x"])
@@ -380,6 +419,20 @@ class TestFactorCommand:
         assert built == []
         assert envelope["result"]["product_check"] is True
         assert envelope["result"]["constructions_agree"] is True
+
+    # Each text line is written a chunk of cells at a time, as a class line
+    # is, in the bytes of a line joined at once.
+    @pytest.mark.parametrize("vector", [["--p", "2", "--n", "6", "--coeffs=3,-3"],
+                                        ["--p", "3", "--n", "3", "--symbolic"]])
+    @pytest.mark.parametrize("fmt", ["csv", "plain"])
+    def test_text_lines_are_cut_into_chunks(self, monkeypatch, vector, fmt):
+        argv = ["factor", *vector, "--format", fmt]
+        whole = "".join(written_pieces(argv))
+        monkeypatch.setattr(prouhet.cli, "_CHUNK", 8)
+        pieces = written_pieces(argv)
+        assert "".join(pieces) == whole
+        cell = r"-?\d+(?:;-?\d+)*" if fmt == "csv" else r"-?\d+(?:,-?\d+)*"
+        assert max(len(re.findall(cell, piece)) for piece in pieces) == 8
 
     def test_inexact_division_is_a_verification_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(prouhet.cli, "division_columns", _inexact_division)

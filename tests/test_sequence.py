@@ -185,7 +185,13 @@ class TestPTMParams:
     def test_degree_relation(self):
         params = PTMParams.from_degree(3, 2)
         assert params.n == 3
-        assert params.degree == 2
+
+    def test_cell_gate_boundary(self):
+        # (3 - 1) * 3**2 = 18 cells: the budget may equal them, not fall short.
+        PTMParams(3, 2, budget=18).check_cells()
+        message = r"^18 coordinate cells of 3\*\*2 terms exceed budget 17$"
+        with pytest.raises(BudgetExceededError, match=message):
+            PTMParams(3, 2, budget=17).check_cells()
 
     def test_value_type(self):
         params = PTMParams(3, 2)
